@@ -66,6 +66,7 @@ import logging
 import sys
 from typing import List, Optional
 
+from repro.core.config import BACKEND_NAMES
 from repro.eval.aggregate import mean_over_steps
 from repro.eval.reporting import format_health_series, format_series, format_table
 from repro.obs.ledger import Ledger
@@ -845,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def backend_flag(p):
         p.add_argument(
-            "--backend", default=None, choices=("default", "fast", "numba"),
+            "--backend", default=None, choices=BACKEND_NAMES,
             help="array backend for the localizer hot path (overrides the "
             "scenario config and REPRO_BACKEND; see docs/PERFORMANCE.md)",
         )

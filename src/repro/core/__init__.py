@@ -23,11 +23,9 @@ iteration** with no ordering requirement:
 
 from repro.core.backend import (
     ArrayBackend,
-    BackendUnavailableError,
     FastNumpyBackend,
     NumpyBackend,
     ScratchPool,
-    available_backends,
     get_backend,
     resolve_backend_name,
 )
@@ -46,7 +44,6 @@ from repro.core.meanshift import (
     mean_shift_modes,
     truncated_mean_shift_modes,
 )
-from repro.core.parallel import MeanShiftPool
 from repro.core.clustering import merge_modes, Mode
 from repro.core.estimator import SourceEstimate, extract_estimates
 from repro.core.resampling import resample_subset
@@ -62,11 +59,9 @@ from repro.core.diagnostics import (
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailableError",
     "FastNumpyBackend",
     "NumpyBackend",
     "ScratchPool",
-    "available_backends",
     "get_backend",
     "resolve_backend_name",
     "LocalizerConfig",
@@ -76,7 +71,6 @@ __all__ = [
     "AutoFusionRange",
     "InfiniteFusionRange",
     "SpatialGridIndex",
-    "MeanShiftPool",
     "poisson_log_pmf",
     "reweight_in_place",
     "mean_shift",

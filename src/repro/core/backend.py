@@ -20,9 +20,6 @@ the resampling prefix-sum -- so the driver code (``weighting``,
   pool's allocation counter, surfaced as the
   ``backend.allocations_per_step`` metric).  Accelerated kernels carry a
   tolerance-based parity suite, not a bitwise one.
-* :class:`NumbaBackend` (``"numba"``) JIT-compiles the fused likelihood
-  when numba is importable; it is auto-detected at import time and
-  requesting it without numba raises :class:`BackendUnavailableError`.
 
 Selection precedence: CLI ``--backend`` (which overwrites the config
 field) > ``LocalizerConfig.backend`` > the ``REPRO_BACKEND`` environment
@@ -39,6 +36,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core.config import BACKEND_NAMES
 from repro.physics.units import CPM_PER_MICROCURIE
 
 if TYPE_CHECKING:
@@ -49,28 +47,6 @@ logger = logging.getLogger(__name__)
 
 #: Environment variable consulted when the config leaves the backend unset.
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: Every selectable backend name, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("default", "fast", "numba")
-
-#: Compute dtype per backend (importable without instantiating anything).
-BACKEND_DTYPES: Dict[str, str] = {
-    "default": "float64",
-    "fast": "float32",
-    "numba": "float32",
-}
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba as _numba
-except ImportError:  # the supported degraded mode: numba stays optional
-    _numba = None
-
-#: True when the numba backend can actually compile (import-time probe).
-HAVE_NUMBA = _numba is not None
-
-
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested backend cannot run in this environment."""
 
 
 def resolve_backend_name(configured: Optional[str]) -> str:
@@ -89,29 +65,15 @@ def resolve_backend_name(configured: Optional[str]) -> str:
     return name
 
 
-def available_backends() -> Dict[str, bool]:
-    """Name -> availability in this environment."""
-    return {
-        "default": True,
-        "fast": True,
-        "numba": HAVE_NUMBA,
-    }
-
-
 def get_backend(configured: Optional[str] = None) -> "ArrayBackend":
     """A fresh backend instance for a config value (see :func:`resolve_backend_name`).
 
     Instances own their scratch pools, so every localizer gets its own
     (two localizers must never share hot buffers).
     """
-    name = resolve_backend_name(configured)
-    if name == "default":
-        return NumpyBackend()
-    if name == "fast":
+    if resolve_backend_name(configured) == "fast":
         return FastNumpyBackend()
-    if name == "numba":
-        return NumbaBackend()
-    raise ValueError(f"unknown backend {name!r}")  # pragma: no cover
+    return NumpyBackend()
 
 
 class ScratchPool:
@@ -1216,207 +1178,3 @@ class FastNumpyBackend(ArrayBackend):
         contributions = strength[None, :] / (1.0 + dx * dx + dy * dy)
         contributions *= np.exp(-exponents.astype(np.float32))
         return contributions.sum(axis=1, dtype=np.float64)
-
-
-if HAVE_NUMBA:  # pragma: no cover - requires an optional dependency
-
-    @_numba.njit(cache=True, parallel=True, fastmath=True)
-    def _numba_batch_log_likelihood(  # noqa: D103 - jitted kernel
-        xs, ys, strengths, sensor_x, sensor_y, counts, log_gamma, at_count,
-        scale, background, alpha, interference, credibility, out,
-    ):
-        n_delivered, n = out.shape
-        for b in _numba.prange(n_delivered):
-            count = counts[b]
-            for p in range(n):
-                dx = xs[p] - sensor_x[b]
-                dy = ys[p] - sensor_y[b]
-                rate = (
-                    scale * strengths[p] / (np.float32(1.0) + dx * dx + dy * dy)
-                    + background
-                    + interference[b]
-                )
-                if rate > 0.0:
-                    value = (
-                        count * np.log(rate) - rate - log_gamma[b]
-                    )
-                else:
-                    value = np.float32(0.0) if count == 0.0 else -np.inf
-                if alpha < 1.0 and rate < count:
-                    value = at_count[b] + alpha * (value - at_count[b])
-                if np.isfinite(value):
-                    value = credibility[b] * value
-                out[b, p] = value
-
-    @_numba.njit(cache=True)
-    def _numba_multi_disc_query(  # noqa: D103 - jitted kernel
-        sorted_cids, order, pxs, pys, cx, cy, radii, x0, y0, inv, n_cols, n_rows,
-    ):
-        n_centers = len(cx)
-        # Pass 1: candidate capacity (sum of per-column slice widths).
-        total_candidates = np.int64(0)
-        for i in range(n_centers):
-            cx_lo = np.int64(np.floor((cx[i] - radii[i] - x0) * inv))
-            cx_hi = np.int64(np.floor((cx[i] + radii[i] - x0) * inv))
-            cy_lo = np.int64(np.floor((cy[i] - radii[i] - y0) * inv))
-            cy_hi = np.int64(np.floor((cy[i] + radii[i] - y0) * inv))
-            if cx_hi < 0 or cy_hi < 0 or cx_lo >= n_cols or cy_lo >= n_rows:
-                continue
-            cx_lo = max(cx_lo, 0)
-            cy_lo = max(cy_lo, 0)
-            cx_hi = min(cx_hi, n_cols - 1)
-            cy_hi = min(cy_hi, n_rows - 1)
-            for col in range(cx_lo, cx_hi + 1):
-                base = col * n_rows
-                lo = np.searchsorted(sorted_cids, base + cy_lo)
-                hi = np.searchsorted(sorted_cids, base + cy_hi + 1)
-                total_candidates += hi - lo
-        out = np.empty(total_candidates, dtype=np.int64)
-        offsets = np.zeros(n_centers + 1, dtype=np.int64)
-        # Pass 2: exact disc filter + per-center ascending sort.
-        pos = np.int64(0)
-        for i in range(n_centers):
-            row_start = pos
-            cx_lo = np.int64(np.floor((cx[i] - radii[i] - x0) * inv))
-            cx_hi = np.int64(np.floor((cx[i] + radii[i] - x0) * inv))
-            cy_lo = np.int64(np.floor((cy[i] - radii[i] - y0) * inv))
-            cy_hi = np.int64(np.floor((cy[i] + radii[i] - y0) * inv))
-            if not (cx_hi < 0 or cy_hi < 0 or cx_lo >= n_cols or cy_lo >= n_rows):
-                cx_lo = max(cx_lo, 0)
-                cy_lo = max(cy_lo, 0)
-                cx_hi = min(cx_hi, n_cols - 1)
-                cy_hi = min(cy_hi, n_rows - 1)
-                r_sq = radii[i] * radii[i]
-                for col in range(cx_lo, cx_hi + 1):
-                    base = col * n_rows
-                    lo = np.searchsorted(sorted_cids, base + cy_lo)
-                    hi = np.searchsorted(sorted_cids, base + cy_hi + 1)
-                    for k in range(lo, hi):
-                        idx = order[k]
-                        dx = pxs[idx] - cx[i]
-                        dy = pys[idx] - cy[i]
-                        if dx * dx + dy * dy <= r_sq:
-                            out[pos] = idx
-                            pos += 1
-            row = out[row_start:pos]
-            row.sort()
-            offsets[i + 1] = pos
-        return out[:pos], offsets, total_candidates
-
-
-class NumbaBackend(FastNumpyBackend):
-    """JIT backend (``"numba"``): the fused likelihood as compiled loops.
-
-    Inherits every float32 SoA kernel from :class:`FastNumpyBackend` and
-    replaces the batched likelihood with a ``prange``-parallel compiled
-    kernel.  Auto-detected: constructing it without numba installed
-    raises :class:`BackendUnavailableError` (and ``get_backend`` surfaces
-    that to the CLI as a clear error instead of an import crash).
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if not HAVE_NUMBA:
-            raise BackendUnavailableError(
-                "backend 'numba' requested but numba is not importable; "
-                "install numba or use --backend fast"
-            )
-        super().__init__()
-
-    def log_likelihood_batch(  # pragma: no cover - requires numba
-        self,
-        particles: "ParticleSet",
-        sensor_x: np.ndarray,
-        sensor_y: np.ndarray,
-        counts: np.ndarray,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: Optional[np.ndarray] = None,
-        credibility_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        scratch = self.scratch
-        counts64 = np.asarray(counts, dtype=np.float64)
-        n_delivered = len(counts64)
-        xs32, ys32, st32 = self._position_mirrors(particles)
-        out = scratch.get(
-            "batch.out", (n_delivered, len(particles)), np.float32
-        )
-        log_gamma = gammaln(counts64 + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at_count = np.where(
-                counts64 > 0.0,
-                counts64 * np.log(np.maximum(counts64, 1.0))
-                - counts64
-                - log_gamma,
-                0.0,
-            )
-        ones = np.ones(n_delivered, dtype=np.float32)
-        _numba_batch_log_likelihood(
-            xs32,
-            ys32,
-            st32,
-            np.asarray(sensor_x, dtype=np.float32),
-            np.asarray(sensor_y, dtype=np.float32),
-            np.asarray(counts64, dtype=np.float32),
-            log_gamma.astype(np.float32),
-            at_count.astype(np.float32),
-            np.float32(CPM_PER_MICROCURIE * efficiency),
-            np.float32(background_cpm),
-            np.float32(under_prediction_tempering),
-            (
-                np.asarray(interference_cpm, dtype=np.float32)
-                if interference_cpm is not None
-                else np.zeros(n_delivered, dtype=np.float32)
-            ),
-            (
-                np.asarray(credibility_weights, dtype=np.float32)
-                if credibility_weights is not None
-                else ones
-            ),
-            out,
-        )
-        return out
-
-    def multi_disc_query(  # pragma: no cover - requires numba
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        sort_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compiled batched disc query: same CSR contract, typed loops.
-
-        The float64 distance test matches the scalar path op-for-op, so
-        rows stay bit-identical; the candidate walk and per-row sort run
-        as compiled code instead of vectorized passes (sorted rows are a
-        valid ``sort_rows=False`` answer, so the flag needs no branch).
-        """
-        centers_x = np.ascontiguousarray(xs, dtype=np.float64)
-        centers_y = np.ascontiguousarray(ys, dtype=np.float64)
-        radii = np.asarray(radius, dtype=np.float64)
-        if radii.ndim == 0:
-            radii = np.full(len(centers_x), float(radii))
-        else:
-            radii = np.ascontiguousarray(radii, dtype=np.float64)
-        if np.any(radii < 0):
-            raise ValueError("radius must be non-negative")
-        indices, offsets, scanned = _numba_multi_disc_query(
-            grid._sorted_cids,
-            grid._order,
-            grid.xs,
-            grid.ys,
-            centers_x,
-            centers_y,
-            radii,
-            grid.x0,
-            grid.y0,
-            1.0 / grid.cell_size,
-            grid.n_cols,
-            grid.n_rows,
-        )
-        grid.queries += len(centers_x)
-        grid.candidates_scanned += int(scanned)
-        return indices, offsets

@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
+#: Every selectable array backend name (see repro.core.backend), in
+#: documentation order.  The one list the config, the backend registry
+#: and the CLI ``--backend`` choices all read.
+BACKEND_NAMES: Tuple[str, ...] = ("default", "fast")
+
 
 @dataclass(frozen=True)
 class LocalizerConfig:
@@ -183,16 +188,6 @@ class LocalizerConfig:
     #: through the uniform spatial grid index instead of brute-force
     #: scans.  Exact: the selected index sets are identical.
     use_grid_index: bool = True
-    #: Grid cell size (length units); None derives ``fusion_range / 2``,
-    #: which keeps a fusion-disc query within a handful of cells.
-    grid_cell_size: float | None = None
-    #: Incremental grid maintenance threshold: when a position mutation
-    #: declares its touched rows (selective resample, bounded move) and
-    #: the dirty fraction is at most this, the index is re-binned by a
-    #: sorted merge instead of rebuilt from scratch.  Exact either way
-    #: (the maintained index is array-equal to a rebuild); 0 disables
-    #: incremental maintenance.
-    grid_incremental_threshold: float = 0.25
     #: Cache the mean-shift extraction keyed on the particle revision, so
     #: repeated ``estimates()`` calls on an unmutated population (the
     #: interference refresh, per-step diagnostics) reuse the result.
@@ -207,19 +202,11 @@ class LocalizerConfig:
     #: truncation is enabled (the gather bookkeeping only pays off once
     #: the kernel matrix is large).
     meanshift_truncation_min_particles: int = 4096
-    #: Peak-memory bound for the truncated path: active seeds are
-    #: processed in tiles of at most this many gathered candidate points.
-    meanshift_tile_candidates: int = 200_000
-    #: Worker processes for mean-shift extraction.  1 runs in-process;
-    #: > 1 shards seeds across a persistent, lazily-built pool owned by
-    #: the localizer (exact: workers run the dense reference kernel).
-    meanshift_workers: int = 1
     #: Array backend for the hot kernels (see repro.core.backend):
-    #: "default" (float64 reference, bitwise parity), "fast" (float32 SoA
-    #: scratch-buffer kernels, tolerance parity), or "numba" (JIT, needs
-    #: numba installed).  None consults the REPRO_BACKEND environment
-    #: variable and falls back to "default"; the CLI --backend flag
-    #: overwrites this field.
+    #: "default" (float64 reference, bitwise parity) or "fast" (float32
+    #: SoA scratch-buffer kernels, tolerance parity).  None consults the
+    #: REPRO_BACKEND environment variable and falls back to "default";
+    #: the CLI --backend flag overwrites this field.
     backend: str | None = None
 
     # --- area ----------------------------------------------------------------
@@ -356,15 +343,6 @@ class LocalizerConfig:
             )
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
-        if self.grid_cell_size is not None and self.grid_cell_size <= 0:
-            raise ValueError(
-                f"grid_cell_size must be positive, got {self.grid_cell_size}"
-            )
-        if not 0.0 <= self.grid_incremental_threshold <= 1.0:
-            raise ValueError(
-                f"grid_incremental_threshold must be in [0, 1], "
-                f"got {self.grid_incremental_threshold}"
-            )
         if self.meanshift_truncation_sigmas < 0:
             raise ValueError(
                 f"meanshift_truncation_sigmas must be non-negative, "
@@ -375,29 +353,18 @@ class LocalizerConfig:
                 f"meanshift_truncation_min_particles must be non-negative, "
                 f"got {self.meanshift_truncation_min_particles}"
             )
-        if self.meanshift_tile_candidates < 1:
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ValueError(
-                f"meanshift_tile_candidates must be >= 1, "
-                f"got {self.meanshift_tile_candidates}"
-            )
-        if self.meanshift_workers < 1:
-            raise ValueError(
-                f"meanshift_workers must be >= 1, got {self.meanshift_workers}"
-            )
-        if self.backend is not None and self.backend not in (
-            "default",
-            "fast",
-            "numba",
-        ):
-            raise ValueError(
-                f"backend must be None, 'default', 'fast' or 'numba', "
+                f"backend must be None or one of {', '.join(BACKEND_NAMES)}, "
                 f"got {self.backend!r}"
             )
 
     def grid_cell(self) -> float:
-        """The effective grid cell size (explicit, or fusion_range / 2)."""
-        if self.grid_cell_size is not None:
-            return self.grid_cell_size
+        """The grid cell size, ``fusion_range / 2``.
+
+        Half the fusion range keeps a fusion-disc query within a handful
+        of cells.
+        """
         return 0.5 * self.fusion_range
 
     def with_overrides(self, **kwargs) -> "LocalizerConfig":
@@ -407,18 +374,17 @@ class LocalizerConfig:
     def without_fast_paths(self) -> "LocalizerConfig":
         """A copy running only the reference implementations.
 
-        Disables grid selection, estimate caching, kernel truncation and
-        the worker pool, and pins the array backend to the float64
-        reference (an explicit "default" here also shields the reference
-        runs from a stray REPRO_BACKEND environment override) -- the
-        configuration every fast path is parity-tested against (and the
-        baseline of ``bench_fastpath``).
+        Disables grid selection, estimate caching and kernel truncation,
+        and pins the array backend to the float64 reference (an explicit
+        "default" here also shields the reference runs from a stray
+        REPRO_BACKEND environment override) -- the configuration every
+        fast path is parity-tested against (and the baseline of
+        ``bench_fastpath``).
         """
         return replace(
             self,
             use_grid_index=False,
             estimate_cache=False,
             meanshift_truncation_sigmas=0.0,
-            meanshift_workers=1,
             backend="default",
         )

@@ -132,7 +132,6 @@ def extract_estimates(
     config: LocalizerConfig,
     rng: Optional[np.random.Generator] = None,
     tracer: Optional[Tracer] = None,
-    pool=None,
     backend=None,
 ) -> List[SourceEstimate]:
     """The full Section V-D step: mean-shift, merge, filter, estimate.
@@ -140,10 +139,9 @@ def extract_estimates(
     Never needs (or produces) an assumed number of sources: every mode
     that survives the mass and strength filters is one estimated source.
 
-    The mean-shift sweep runs on one of four interchangeable paths,
-    chosen from the config's fast-path knobs (see docs/PERFORMANCE.md):
-    a ``pool`` (:class:`repro.core.parallel.MeanShiftPool`, exact,
-    process-sharded), an accelerated array ``backend``
+    The mean-shift sweep runs on one of three interchangeable paths,
+    chosen from the array backend and the config's fast-path knobs (see
+    docs/PERFORMANCE.md): an accelerated array ``backend``
     (:mod:`repro.core.backend`, padded-SoA sweep, tolerance parity), the
     grid-based truncated kernel (tight approximation, large populations
     only), or the dense reference sweep.  ``backend=None`` resolves one
@@ -182,19 +180,7 @@ def extract_estimates(
         and n >= config.meanshift_truncation_min_particles
     )
     use_grid = config.use_grid_index
-    if pool is not None:
-        path = "parallel"
-        converged, _densities = pool.run(
-            seeds,
-            positions,
-            weights,
-            bandwidth=config.bandwidth,
-            tol=config.meanshift_tol,
-            max_iter=config.meanshift_max_iter,
-        )
-        if shift_stats is not None:
-            shift_stats["n_seeds"] = len(seeds)
-    elif backend.accelerated:
+    if backend.accelerated:
         path = f"backend:{backend.name}"
         converged, _densities = backend.meanshift_modes(
             particles, seeds, config, stats=shift_stats
@@ -210,7 +196,6 @@ def extract_estimates(
             truncation_sigmas=config.meanshift_truncation_sigmas,
             tol=config.meanshift_tol,
             max_iter=config.meanshift_max_iter,
-            tile_candidates=config.meanshift_tile_candidates,
             stats=shift_stats,
         )
     else:

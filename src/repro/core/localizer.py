@@ -30,7 +30,6 @@ from repro.core.config import LocalizerConfig
 from repro.core.estimator import SourceEstimate, extract_estimates
 from repro.core.fusion import FixedFusionRange, FusionRangePolicy
 from repro.core.integrity import SensorCredibility
-from repro.core.parallel import MeanShiftPool
 from repro.core.particles import ParticleSet
 from repro.core.resampling import NO_RESAMPLE, resample_subset
 from repro.core.weighting import reweight_in_place
@@ -95,10 +94,6 @@ class MultiSourceLocalizer:
                 self.rng,
                 strength_init=config.strength_init,
             )
-        # Incremental grid maintenance budget (see ParticleSet.grid).
-        self.particles.grid_incremental_threshold = (
-            config.grid_incremental_threshold
-        )
         #: Structured trace-event emitter; the default NULL_TRACER keeps
         #: the hot loop free of any instrumentation cost (no clock reads,
         #: no ESS computation) -- every instrumented block is gated on
@@ -144,9 +139,6 @@ class MultiSourceLocalizer:
         # reusable until the next mutation; the echo filter (which also
         # depends on the reading EMA) always re-runs on top.
         self._estimate_cache: Optional[tuple] = None
-        # Persistent mean-shift worker pool (config.meanshift_workers > 1),
-        # created lazily on the first extraction that can use it.
-        self._pool: Optional[MeanShiftPool] = None
         # Grid instrumentation watermarks (metrics report deltas).
         self._grid_rebuilds_seen = 0
         self._grid_incremental_seen = 0
@@ -178,8 +170,6 @@ class MultiSourceLocalizer:
         gated on ``tracer.enabled`` so the default (null) path reads no
         clocks and computes no diagnostics.
         """
-        if cpm < 0:
-            raise ValueError(f"measurement CPM must be non-negative, got {cpm}")
         config = self.config
         tracer = self.tracer
         traced = tracer.enabled
@@ -193,33 +183,10 @@ class MultiSourceLocalizer:
             t_start = t_prev = perf_counter()
         self._in_observe = True
         try:
-            # Sensor integrity: score the reading before it touches anything.
-            # A quarantined sensor's reading is dropped wholesale -- no echo
-            # EMA update, no particle selection, no grid query, no reweight.
-            credibility_weight = 1.0
-            if self.credibility is not None:
-                credibility_weight = self._assess_credibility(
-                    sensor_id, sensor_x, sensor_y, cpm
-                )
-                if credibility_weight <= 0.0:
-                    self._reading_ema.pop(
-                        (round(sensor_x, 6), round(sensor_y, 6)), None
-                    )
-                    if self.metrics.enabled:
-                        self.metrics.counter("integrity.skipped_readings").inc()
-                    return
-
-            fusion_range = self.fusion_policy.range_for(sensor_id, sensor_x, sensor_y)
-
-            # Track a smoothed reading per sensor location for the echo filter.
-            key = (round(sensor_x, 6), round(sensor_y, 6))
-            previous = self._reading_ema.get(key)
-            if previous is None:
-                self._reading_ema[key] = cpm
-            else:
-                self._reading_ema[key] = (
-                    self._ema_alpha * cpm + (1.0 - self._ema_alpha) * previous
-                )
+            admission = self._admit(sensor_id, sensor_x, sensor_y, cpm)
+            if admission is None:
+                return
+            fusion_range, credibility_weight = admission
 
             # 1. Selection (Eq. 5): P' = particles within the fusion range.
             indices = self._indices_within(sensor_x, sensor_y, fusion_range)
@@ -391,30 +358,9 @@ class MultiSourceLocalizer:
             # query instead of a scalar query per measurement.
             screened: List[tuple] = []
             for m in measurements:
-                if m.cpm < 0:
-                    raise ValueError(
-                        f"measurement CPM must be non-negative, got {m.cpm}"
-                    )
-                credibility_weight = 1.0
-                if self.credibility is not None:
-                    credibility_weight = self._assess_credibility(
-                        m.sensor_id, m.x, m.y, m.cpm
-                    )
-                    if credibility_weight <= 0.0:
-                        self._reading_ema.pop((round(m.x, 6), round(m.y, 6)), None)
-                        if metrics.enabled:
-                            metrics.counter("integrity.skipped_readings").inc()
-                        continue
-                fusion_range = self.fusion_policy.range_for(m.sensor_id, m.x, m.y)
-                key = (round(m.x, 6), round(m.y, 6))
-                previous = self._reading_ema.get(key)
-                if previous is None:
-                    self._reading_ema[key] = m.cpm
-                else:
-                    self._reading_ema[key] = (
-                        self._ema_alpha * m.cpm + (1.0 - self._ema_alpha) * previous
-                    )
-                screened.append((m, fusion_range, credibility_weight))
+                admission = self._admit(m.sensor_id, m.x, m.y, m.cpm)
+                if admission is not None:
+                    screened.append((m, *admission))
 
             selections = self._batched_selection(
                 [entry[0] for entry in screened],
@@ -509,6 +455,42 @@ class MultiSourceLocalizer:
                 self._flush_backend_metrics()
         finally:
             self._in_observe = False
+
+    def _admit(
+        self, sensor_id: int, sensor_x: float, sensor_y: float, cpm: float
+    ) -> Optional[tuple]:
+        """Per-reading admission, shared by the loop and the fused path.
+
+        Rejects a negative reading, then scores the sensor's credibility
+        before the reading touches anything: a quarantined sensor's
+        reading is dropped wholesale -- its echo-EMA entry is removed, and
+        no particle selection, grid query or reweight follows.  Otherwise
+        resolves the fusion range and folds the reading into the
+        per-location EMA the echo filter reads.  Returns ``(fusion_range,
+        credibility_weight)``, or None for a quarantined reading.
+        """
+        if cpm < 0:
+            raise ValueError(f"measurement CPM must be non-negative, got {cpm}")
+        key = (round(sensor_x, 6), round(sensor_y, 6))
+        credibility_weight = 1.0
+        if self.credibility is not None:
+            credibility_weight = self._assess_credibility(
+                sensor_id, sensor_x, sensor_y, cpm
+            )
+            if credibility_weight <= 0.0:
+                self._reading_ema.pop(key, None)
+                if self.metrics.enabled:
+                    self.metrics.counter("integrity.skipped_readings").inc()
+                return None
+        fusion_range = self.fusion_policy.range_for(sensor_id, sensor_x, sensor_y)
+        previous = self._reading_ema.get(key)
+        if previous is None:
+            self._reading_ema[key] = cpm
+        else:
+            self._reading_ema[key] = (
+                self._ema_alpha * cpm + (1.0 - self._ema_alpha) * previous
+            )
+        return fusion_range, credibility_weight
 
     def _assess_credibility(
         self, sensor_id: int, sensor_x: float, sensor_y: float, cpm: float
@@ -769,7 +751,7 @@ class MultiSourceLocalizer:
         tracer = NULL_TRACER if self._in_observe else self.tracer
         candidates = extract_estimates(
             self.particles, self.config, self.rng, tracer=tracer,
-            pool=self._meanshift_pool(), backend=self.backend,
+            backend=self.backend,
         )
         if config.estimate_cache:
             self._estimate_cache = (revision, candidates)
@@ -777,26 +759,6 @@ class MultiSourceLocalizer:
             self.metrics.counter("localizer.estimate_cache_misses").inc()
             self._flush_grid_metrics()
         return self._filter_echoes(candidates)
-
-    def _meanshift_pool(self) -> Optional[MeanShiftPool]:
-        """The persistent extraction pool (lazily built; None when serial)."""
-        if self.config.meanshift_workers <= 1:
-            return None
-        if self._pool is None:
-            self._pool = MeanShiftPool(self.config.meanshift_workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Release the worker pool, if one was ever started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "MultiSourceLocalizer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def _filter_echoes(
         self, candidates: List[SourceEstimate]

@@ -22,6 +22,10 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.core.grid import SpatialGridIndex
 
+#: Peak-memory bound of the truncated sweep: active seeds are processed
+#: in tiles of at most this many gathered candidate points.
+TILE_CANDIDATES = 200_000
+
 
 def gaussian_kernel_weights(
     points: np.ndarray,
@@ -148,7 +152,7 @@ def truncated_mean_shift_modes(
     truncation_sigmas: float = 4.0,
     tol: float = 1e-2,
     max_iter: int = 100,
-    tile_candidates: int = 200_000,
+    tile_candidates: int = TILE_CANDIDATES,
     stats: Optional[dict] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Grid-accelerated mean-shift with a truncated Gaussian kernel.

@@ -18,8 +18,7 @@ vs 24-core columns.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -27,20 +26,17 @@ from repro.core.meanshift import mean_shift_modes
 
 
 class WorkerPool:
-    """A persistent, lazily-built, self-repairing process pool.
+    """A persistent, lazily-built, repairable process pool.
 
-    Generalizes the lifecycle that :class:`MeanShiftPool` proved out so any
-    subsystem (mean-shift sharding, the experiment engine in
-    :mod:`repro.exp`) can own one long-lived pool:
+    The one long-lived pool the experiment engine (:mod:`repro.exp`) and
+    the serving shards (:mod:`repro.serve`) own:
 
     * the executor is created on first use, not at construction, so a pool
       configured but never exercised costs nothing;
-    * :meth:`run_batch` transparently rebuilds the executor once and
-      retries if its workers died between calls (``BrokenProcessPool``);
     * :meth:`discard` tears the executor down *without waiting* -- the
-      recovery path for stuck or killed workers -- while :meth:`close`
-      shuts down cleanly.  Either way the pool stays usable: the next
-      call builds a fresh executor.
+      recovery path for stuck, killed or broken workers -- while
+      :meth:`close` shuts down cleanly.  Either way the pool stays usable:
+      the next call builds a fresh executor.
 
     An optional ``tracer`` (any object with an ``emit(type, **fields)``
     method and an ``enabled`` flag, i.e. :class:`repro.obs.trace.Tracer`)
@@ -86,16 +82,6 @@ class WorkerPool:
     def submit(self, fn: Callable, *args, **kwargs) -> Future:
         return self.executor().submit(fn, *args, **kwargs)
 
-    def run_batch(self, fn: Callable, payloads: Iterable) -> List:
-        """``map(fn, payloads)`` with a single rebuild-and-retry on breakage."""
-        payloads = list(payloads)
-        try:
-            return list(self.executor().map(fn, payloads))
-        except BrokenProcessPool:
-            # Workers died between calls; rebuild once and retry.
-            self.discard()
-            return list(self.executor().map(fn, payloads))
-
     #: Grace period between SIGTERM and SIGKILL in :meth:`discard`.
     KILL_DEADLINE_SECONDS = 2.0
 
@@ -107,8 +93,9 @@ class WorkerPool:
         through a hard-kill deadline -- ``terminate()`` (SIGTERM), a
         bounded ``join``, then ``kill()`` (SIGKILL) for anything that
         ignored the polite signal -- and finally reaped, so a discard can
-        neither hang on a SIGTERM-blocking worker nor leak zombies.  The
-        next call builds a fresh executor.
+        neither hang on a SIGTERM-blocking worker nor leak zombies: when it
+        returns, every worker is dead and has an exit code.  The next call
+        builds a fresh executor.
         """
         if self._executor is None:
             return
@@ -116,6 +103,7 @@ class WorkerPool:
             kill_deadline = self.KILL_DEADLINE_SECONDS
         executor, self._executor = self._executor, None
         processes = list(getattr(executor, "_processes", {}).values())
+        manager = getattr(executor, "_executor_manager_thread", None)
         executor.shutdown(wait=False, cancel_futures=True)
         terminated = 0
         for process in processes:
@@ -129,6 +117,11 @@ class WorkerPool:
             if process.is_alive():
                 process.kill()
                 killed += 1
+        # The executor's manager thread reaps these same workers.  A join
+        # that loses that waitpid race returns before the winner records
+        # the exit code, so wait the manager out: then one reaper is left.
+        if manager is not None:
+            manager.join(timeout=kill_deadline)
         for process in processes:
             # Post-SIGKILL join cannot block; it reaps the zombie.
             process.join()
@@ -231,83 +224,3 @@ def make_executor(
         initializer=_init_worker,
         initargs=(np.asarray(points, dtype=float), np.asarray(weights, dtype=float)),
     )
-
-
-def _run_chunk_with_data(
-    args: Tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int],
-) -> Tuple[np.ndarray, np.ndarray]:
-    seeds, points, weights, bandwidth, tol, max_iter = args
-    return mean_shift_modes(
-        seeds, points, weights, bandwidth=bandwidth, tol=tol, max_iter=max_iter
-    )
-
-
-class MeanShiftPool:
-    """A persistent, lazily-built process pool for mean-shift extraction.
-
-    :func:`make_executor` bakes one particle snapshot into the workers,
-    which suits a single extraction but not a localizer whose population
-    mutates every iteration.  This pool instead ships the current
-    ``points`` / ``weights`` with each call, amortizing only the process
-    start-up (the expensive part) across calls.  The executor is created
-    on first use and transparently rebuilt once if its workers died (e.g.
-    killed between calls), which is what lets a long-lived localizer own
-    one pool for its whole lifetime.
-
-    Results are bit-identical to the serial :func:`mean_shift_modes`:
-    workers run the same dense kernel on disjoint seed shards, and shard
-    order is preserved on reassembly.
-    """
-
-    def __init__(self, n_workers: int):
-        if n_workers < 2:
-            raise ValueError(f"MeanShiftPool needs n_workers >= 2, got {n_workers}")
-        self.n_workers = int(n_workers)
-        self._pool = WorkerPool(self.n_workers)
-
-    @property
-    def builds(self) -> int:
-        """Executors created so far (1 after first use; +1 per repair)."""
-        return self._pool.builds
-
-    def run(
-        self,
-        seeds: np.ndarray,
-        points: np.ndarray,
-        weights: np.ndarray,
-        bandwidth: float,
-        tol: float = 1e-2,
-        max_iter: int = 100,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Sharded :func:`mean_shift_modes`; serial below 2 seeds/worker."""
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        if len(seeds) < 2 * self.n_workers:
-            return mean_shift_modes(
-                seeds, points, weights, bandwidth=bandwidth, tol=tol, max_iter=max_iter
-            )
-        points = np.asarray(points, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        chunks = np.array_split(seeds, self.n_workers)
-        args = [
-            (chunk, points, weights, bandwidth, tol, max_iter)
-            for chunk in chunks
-            if len(chunk)
-        ]
-        results = self._pool.run_batch(_run_chunk_with_data, args)
-        modes = np.vstack([r[0] for r in results])
-        densities = np.concatenate([r[1] for r in results])
-        return modes, densities
-
-    def close(self) -> None:
-        """Shut the executor down (the pool can be reused; it rebuilds)."""
-        self._pool.close()
-
-    def __enter__(self) -> "MeanShiftPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "live" if self._pool._executor is not None else "idle"
-        return f"MeanShiftPool(n_workers={self.n_workers}, {state})"

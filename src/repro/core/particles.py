@@ -72,8 +72,8 @@ class ParticleSet:
         self._dirty_count = 0
         #: Fraction of the population above which a dirty set triggers a
         #: full rebuild instead of an incremental merge (the merge's
-        #: per-row cost overtakes one argsort well before 1.0).  Wired
-        #: from ``LocalizerConfig.grid_incremental_threshold``.
+        #: per-row cost overtakes one argsort well before 1.0).  0
+        #: disables incremental maintenance.
         self.grid_incremental_threshold = 0.25
         #: Cumulative grid instrumentation (rebuilds / queries / candidate
         #: counts survive index rebuilds; read by the localizer's metrics).

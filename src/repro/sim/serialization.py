@@ -251,6 +251,40 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, Any]:
     return doc
 
 
+#: ``LocalizerConfig`` fields this build no longer has, each with the one
+#: value it hard-wires.  Documents written before the fields were retired
+#: (the committed golden-stream headers among them) carry exactly these
+#: values and still load; any other value asks for behaviour this build
+#: cannot give, so it raises.
+RETIRED_CONFIG_KEYS: Dict[str, Any] = {
+    "meanshift_workers": 1,
+    "meanshift_tile_candidates": 200_000,
+    "grid_incremental_threshold": 0.25,
+    "grid_cell_size": None,
+}
+
+
+def _localizer_config_from_dict(data: Dict[str, Any]) -> LocalizerConfig:
+    """Rebuild a ``LocalizerConfig`` (raises ``ValueError`` on a bad key)."""
+    fields = {f.name for f in dataclasses.fields(LocalizerConfig)}
+    kwargs: Dict[str, Any] = {}
+    for key, value in data.items():
+        if key in fields:
+            kwargs[key] = value
+        elif key in RETIRED_CONFIG_KEYS:
+            expected = RETIRED_CONFIG_KEYS[key]
+            if type(value) is not type(expected) or value != expected:
+                raise ValueError(
+                    f"localizer_config key {key!r} is retired; this build "
+                    f"hard-wires {expected!r}, got {value!r}"
+                )
+        else:
+            raise ValueError(f"unknown localizer_config key {key!r}")
+    if isinstance(kwargs.get("area"), list):
+        kwargs["area"] = tuple(kwargs["area"])
+    return LocalizerConfig(**kwargs)
+
+
 def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
     """Rebuild a Scenario from :func:`scenario_to_dict` output."""
     version = data.get("format_version", 0)
@@ -283,13 +317,6 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         for o in data.get("obstacles", [])
     ]
     config_data = data.get("localizer_config")
-    config = None
-    if config_data is not None:
-        config_data = dict(config_data)
-        area = config_data.get("area")
-        if isinstance(area, list):
-            config_data["area"] = tuple(area)
-        config = LocalizerConfig(**config_data)
     return Scenario(
         name=data.get("name", "unnamed"),
         area=(float(data["area"][0]), float(data["area"][1])),
@@ -298,7 +325,9 @@ def scenario_from_dict(data: Dict[str, Any]) -> Scenario:
         obstacles=obstacles,
         background_cpm=data.get("background_cpm", 0.0),
         n_time_steps=data.get("n_time_steps", 30),
-        localizer_config=config,
+        localizer_config=(
+            None if config_data is None else _localizer_config_from_dict(config_data)
+        ),
         delivery=_delivery_from_dict(data.get("delivery", {})),
         faults=fault_schedule_from_dict(data.get("faults")),
     )

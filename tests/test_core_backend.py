@@ -2,9 +2,9 @@
 
 Three contract families:
 
-* **Registry** -- name resolution precedence (config field over
-  ``REPRO_BACKEND`` over the default), validation, and the numba
-  auto-detection / graceful-unavailability path.
+* **Registry** -- the one list of backend names, name resolution
+  precedence (config field over ``REPRO_BACKEND`` over the default),
+  and validation.
 * **Parity** -- the default backend must be *bitwise* identical to the
   pre-backend code (it routes through the unmodified reference kernels by
   construction, and a dual-run regression pins that); the float32 fast
@@ -23,15 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.backend import (
     ArrayBackend,
-    BackendUnavailableError,
     FastNumpyBackend,
-    HAVE_NUMBA,
     NumpyBackend,
-    available_backends,
     get_backend,
     resolve_backend_name,
 )
-from repro.core.config import LocalizerConfig
+from repro.core.config import BACKEND_NAMES, LocalizerConfig
 from repro.core.estimator import extract_estimates
 from repro.core.localizer import MultiSourceLocalizer
 from repro.core.weighting import reweight_in_place
@@ -77,11 +74,11 @@ def measurement_stream(n_steps=4, seed=3):
 
 
 class TestRegistry:
-    def test_available_backends_shape(self):
-        availability = available_backends()
-        assert availability["default"] is True
-        assert availability["fast"] is True
-        assert availability["numba"] is HAVE_NUMBA
+    def test_backend_names(self):
+        assert BACKEND_NAMES == ("default", "fast")
+        for name in BACKEND_NAMES:
+            assert resolve_backend_name(name) == name
+            assert get_backend(name).name == name
 
     def test_resolution_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -120,17 +117,6 @@ class TestRegistry:
         assert fast.describe() == {"name": "fast", "dtype": "float32"}
         # Fresh scratch per instance: no cross-localizer aliasing.
         assert get_backend("fast") is not fast
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is importable here")
-    def test_numba_unavailable_raises(self):
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            get_backend("numba")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-    def test_numba_backend_constructs(self):
-        backend = get_backend("numba")
-        assert backend.accelerated
-        assert backend.describe()["name"] == "numba"
 
 
 # --- bitwise parity of the default backend --------------------------------------

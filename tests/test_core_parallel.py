@@ -1,14 +1,14 @@
-"""Tests for the process-parallel mean-shift driver."""
+"""Tests for the process-parallel mean-shift driver and the worker pool."""
 
 import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.core.meanshift import mean_shift_modes
 from repro.core.parallel import (
-    MeanShiftPool,
     WorkerPool,
     make_executor,
     parallel_mean_shift_modes,
@@ -80,76 +80,6 @@ class TestParallelMeanShift:
             )
 
 
-class TestMeanShiftPool:
-    def test_rejects_single_worker(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            MeanShiftPool(1)
-
-    def test_matches_serial_results(self):
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(3).uniform(0, 100, size=(12, 2))
-        serial_modes, serial_density = mean_shift_modes(
-            seeds.copy(), points, weights, bandwidth=5.0
-        )
-        with MeanShiftPool(2) as pool:
-            pool_modes, pool_density = pool.run(
-                seeds.copy(), points, weights, bandwidth=5.0
-            )
-        np.testing.assert_allclose(pool_modes, serial_modes, atol=1e-9)
-        np.testing.assert_allclose(pool_density, serial_density, atol=1e-12)
-
-    def test_lazy_build_and_serial_fallback(self):
-        points, weights = cluster_data()
-        pool = MeanShiftPool(4)
-        try:
-            assert pool.builds == 0
-            # Below 2 seeds/worker: serial path, no executor started.
-            modes, _ = pool.run(
-                np.array([[25.0, 25.0]]), points, weights, bandwidth=5.0
-            )
-            assert pool.builds == 0
-            assert np.linalg.norm(modes[0] - [20, 20]) < 2.0
-        finally:
-            pool.close()
-
-    def test_handles_mutated_data_between_calls(self):
-        # Unlike make_executor, the pool ships data per call, so results
-        # track population mutations.
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(4).uniform(0, 100, size=(8, 2))
-        with MeanShiftPool(2) as pool:
-            first, _ = pool.run(seeds.copy(), points, weights, bandwidth=5.0)
-            shifted = points + 7.0
-            second, _ = pool.run(seeds.copy() + 7.0, shifted, weights, bandwidth=5.0)
-        np.testing.assert_allclose(second, first + 7.0, atol=1e-6)
-
-    def test_rebuilds_after_close(self):
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(5).uniform(0, 100, size=(8, 2))
-        pool = MeanShiftPool(2)
-        try:
-            pool.run(seeds, points, weights, bandwidth=5.0)
-            assert pool.builds == 1
-            pool.close()
-            modes, _ = pool.run(seeds, points, weights, bandwidth=5.0)
-            assert pool.builds == 2
-            assert len(modes) == len(seeds)
-        finally:
-            pool.close()
-
-    def test_repr_reports_state(self):
-        pool = MeanShiftPool(2)
-        assert "idle" in repr(pool)
-        points, weights = cluster_data()
-        seeds = np.random.default_rng(6).uniform(0, 100, size=(8, 2))
-        try:
-            pool.run(seeds, points, weights, bandwidth=5.0)
-            assert "live" in repr(pool)
-        finally:
-            pool.close()
-        assert "idle" in repr(pool)
-
-
 def _square(x):
     return x * x
 
@@ -168,15 +98,19 @@ def _ignore_sigterm_and_sleep(seconds):
     worker_time.sleep(seconds)
 
 
+def _run(pool, fn, *args):
+    return pool.submit(fn, *args).result(timeout=60)
+
+
 class TestWorkerPool:
     def test_lazy_build_and_reuse(self):
         with WorkerPool(2) as pool:
             assert pool.builds == 0
             assert "idle" in repr(pool)
-            assert pool.run_batch(_square, [1, 2, 3]) == [1, 4, 9]
+            assert _run(pool, _square, 3) == 9
             assert pool.builds == 1
             assert "live" in repr(pool)
-            assert pool.run_batch(_square, [4]) == [16]
+            assert _run(pool, _square, 4) == 16
             assert pool.builds == 1  # same executor reused
 
     def test_rejects_zero_workers(self):
@@ -189,22 +123,25 @@ class TestWorkerPool:
 
     def test_rebuilds_after_broken_pool(self):
         with WorkerPool(1) as pool:
-            pool.run_batch(_square, [1])
-            # Kill the worker behind the executor's back: the next map sees
-            # BrokenProcessPool and run_batch must rebuild and retry.
+            _run(pool, _square, 1)
+            # Kill the worker behind the executor's back: the executor is
+            # broken, and discard is the repair that callers run on it.
             for process in pool.executor()._processes.values():
                 process.terminate()
                 process.join()
-            assert pool.run_batch(_square, [5]) == [25]
+            with pytest.raises(BrokenProcessPool):
+                _run(pool, _square, 5)
+            pool.discard()
+            assert _run(pool, _square, 5) == 25
             assert pool.builds == 2
 
     def test_close_allows_reuse(self):
         pool = WorkerPool(1)
         try:
-            pool.run_batch(_square, [2])
+            _run(pool, _square, 2)
             pool.close()
             assert "idle" in repr(pool)
-            assert pool.run_batch(_square, [3]) == [9]
+            assert _run(pool, _square, 3) == 9
             assert pool.builds == 2
         finally:
             pool.close()
@@ -212,10 +149,10 @@ class TestWorkerPool:
     def test_discard_then_fresh_executor(self):
         pool = WorkerPool(1)
         try:
-            first = pool.run_batch(_pid, [None])[0]
+            first = _run(pool, _pid, None)
             pool.discard()
             assert "idle" in repr(pool)
-            second = pool.run_batch(_pid, [None])[0]
+            second = _run(pool, _pid, None)
             assert second != first  # genuinely new worker process
             assert pool.builds == 2
         finally:
@@ -227,16 +164,28 @@ class TestWorkerPool:
         assert pool.builds == 0
 
     def test_discard_reaps_workers(self):
+        """Dead and reaped when discard returns, every cycle.
+
+        The executor's manager thread reaps the same workers discard
+        joins; a join that lost that race used to return early and leave
+        a worker reading alive or without an exit code (exitcode is only
+        set once the child has been reaped).  The race hit a few cycles
+        in a hundred, so 200 cycles pin it.
+        """
         pool = WorkerPool(2)
+        unreaped = 0
         try:
-            pool.run_batch(_square, [1, 2])
-            processes = list(pool.executor()._processes.values())
-            pool.discard()
-            assert all(not p.is_alive() for p in processes)
-            # exitcode is only set once the child has been reaped.
-            assert all(p.exitcode is not None for p in processes)
+            for _ in range(200):
+                futures = [pool.submit(_square, i) for i in (1, 2)]
+                assert [f.result(timeout=60) for f in futures] == [1, 4]
+                processes = list(pool.executor()._processes.values())
+                pool.discard()
+                unreaped += sum(
+                    p.is_alive() or p.exitcode is None for p in processes
+                )
         finally:
             pool.close()
+        assert unreaped == 0
 
     def test_discard_hard_kills_sigterm_ignoring_worker(self):
         """A worker blocking SIGTERM must still die within the deadline."""
@@ -260,6 +209,6 @@ class TestWorkerPool:
             assert all(not p.is_alive() for p in processes)
             assert any(p.exitcode == -signal.SIGKILL for p in processes)
             # The pool is still usable afterwards.
-            assert pool.run_batch(_square, [3]) == [9]
+            assert _run(pool, _square, 3) == 9
         finally:
             pool.close()

@@ -225,36 +225,6 @@ class TestGridMetrics:
         assert metrics.counter("localizer.grid_queries").value == 0
 
 
-class TestPoolWiring:
-    def test_pool_estimates_match_serial(self):
-        stream = measurement_stream(SOURCES)
-        config = base_config(estimate_cache=False, meanshift_truncation_sigmas=0.0)
-        serial = MultiSourceLocalizer(config, rng=np.random.default_rng(0))
-        with MultiSourceLocalizer(
-            config.with_overrides(meanshift_workers=2),
-            rng=np.random.default_rng(0),
-        ) as pooled:
-            for m in stream:
-                serial.observe(m)
-                pooled.observe(m)
-            a = serial.estimates()
-            b = pooled.estimates()
-            assert pooled._pool is not None  # the pool actually ran
-        assert len(a) == len(b)
-        for ea, eb in zip(a, b):
-            assert ea.x == pytest.approx(eb.x, abs=1e-9)
-            assert ea.y == pytest.approx(eb.y, abs=1e-9)
-
-    def test_close_is_idempotent_and_serial_never_builds(self):
-        localizer = MultiSourceLocalizer(
-            base_config(), rng=np.random.default_rng(0)
-        )
-        assert localizer._meanshift_pool() is None
-        localizer.close()
-        localizer.close()
-        assert localizer._pool is None
-
-
 class TestFullFastPathAccuracy:
     def test_all_fast_paths_localize_sources(self):
         """Defaults (every fast path on) still find the true sources."""

@@ -22,8 +22,8 @@ from repro.sim.scenarios import scenario_a
 SEED = 17
 
 # Tracing forces observe_batch down the sequential loop (the fused
-# accelerated path skips per-reading trace events), and the fast/numba
-# backends' fused batch is tolerance-parity with that loop, not bitwise.
+# accelerated path skips per-reading trace events), and the fast
+# backend's fused batch is tolerance-parity with that loop, not bitwise.
 # So "traced run == plain run" only holds bit-for-bit when the resolved
 # backend is the float64 default.
 requires_default_backend = pytest.mark.skipif(

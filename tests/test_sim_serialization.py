@@ -112,6 +112,57 @@ class TestFiles:
         assert scenario.localizer_config is not None  # default built
 
 
+class TestLocalizerConfigKeys:
+    """Typed errors for ``localizer_config`` keys, and the retired ones.
+
+    Four fields were retired from ``LocalizerConfig`` with their one
+    supported value hard-wired; older documents (the committed golden
+    stream headers among them, replayed by ``test_golden_streams.py``)
+    carry exactly that value and must load.
+    """
+
+    RETIRED = {
+        "meanshift_workers": 1,
+        "meanshift_tile_candidates": 200_000,
+        "grid_incremental_threshold": 0.25,
+        "grid_cell_size": None,
+    }
+
+    def doc_with(self, **config):
+        doc = scenario_to_dict(scenario_a())
+        doc["localizer_config"].update(config)
+        return json.loads(json.dumps(doc))
+
+    def test_retired_keys_at_hard_wired_values_load(self):
+        restored = scenario_from_dict(self.doc_with(**self.RETIRED))
+        assert restored.localizer_config == scenario_a().localizer_config
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("turbo_mode", True, "unknown localizer_config key 'turbo_mode'"),
+            ("meanshift_workers", 2, "'meanshift_workers' is retired"),
+            ("meanshift_workers", True, "'meanshift_workers' is retired"),
+            ("meanshift_tile_candidates", 1000, "'meanshift_tile_candidates'"),
+            ("grid_incremental_threshold", 0.5, "'grid_incremental_threshold'"),
+            ("grid_cell_size", 12.0, "'grid_cell_size' is retired"),
+            ("backend", "numba", "default, fast"),
+        ],
+        ids=[
+            "unknown-key",
+            "workers-2",
+            "workers-bool",
+            "tile-candidates",
+            "incremental-threshold",
+            "grid-cell-size",
+            "backend-numba",
+        ],
+    )
+    def test_bad_key_raises_value_error(self, key, value, match):
+        with pytest.raises(ValueError, match=match):
+            scenario_from_dict(self.doc_with(**{key: value}))
+
+
 class TestRunResultRoundTrip:
     @pytest.fixture(scope="class")
     def result(self):
