@@ -22,7 +22,7 @@ from repro.eval.aggregate import mean_over_steps
 from repro.eval.reporting import format_table
 from repro.sensors.network import SensorNetwork
 from repro.sim.rng import spawn_rngs
-from repro.sim.runner import SimulationRunner, run_scenario
+from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a
 
 
@@ -95,9 +95,9 @@ def test_fig2_oscillation_without_fusion_range(report, benchmark):
     # End-to-end accuracy comparison over a full run.
     scenario = scenario_a(strengths=(50.0, 50.0), n_time_steps=15)
     with_fr = run_scenario(scenario, seed=BENCH_SEED)
-    without_fr = SimulationRunner(
+    without_fr = run_scenario(
         scenario, seed=BENCH_SEED, fusion_policy=InfiniteFusionRange()
-    ).run()
+    )
     rows = []
     for label, result in (("d=24", with_fr), ("infinite", without_fr)):
         worst = max(

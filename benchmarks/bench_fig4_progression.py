@@ -11,7 +11,7 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SEED
 from repro.eval.reporting import format_series
-from repro.sim.runner import SimulationRunner
+from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a
 from repro.viz.ascii_map import render_particles
 
@@ -22,9 +22,9 @@ def test_fig4_progression(report, benchmark):
     scenario = scenario_a(strengths=(50.0, 50.0), n_time_steps=10)
 
     def run():
-        return SimulationRunner(
+        return run_scenario(
             scenario, seed=BENCH_SEED, snapshot_steps=tuple(range(10))
-        ).run()
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -112,7 +112,7 @@ from repro.sim import (
     save_scenario,
     RunResult,
     Scenario,
-    SimulationRunner,
+    SessionSpec,
     run_repeated,
     run_scenario,
     scenario_a,
@@ -179,7 +179,7 @@ __all__ = [
     "RepeatedRunResult",
     "RunResult",
     "Scenario",
-    "SimulationRunner",
+    "SessionSpec",
     "run_repeated",
     "run_scenario",
     "run_sweep",

@@ -64,6 +64,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.core.config import BACKEND_NAMES
@@ -86,6 +87,7 @@ from repro.exp.engine import run_sweep
 from repro.exp.spec import SweepSpec, Variant
 from repro.sim.runner import run_repeated
 from repro.sim.scenario import Scenario
+from repro.sim.session import SessionSpec, with_config
 from repro.sim.scenarios import (
     scenario_a,
     scenario_a_three_sources,
@@ -157,11 +159,13 @@ def _build_scenario(args) -> tuple:
     raise SystemExit(f"unknown scenario {args.scenario!r}; choose a, a3, b, or c")
 
 
-def _apply_robustness(scenario: Scenario, args) -> Scenario:
-    """Attach ``--faults`` / ``--integrity`` to a scenario (shared flags)."""
-    if getattr(args, "faults", None):
-        import json
+def _configure(scenario: Scenario, args) -> Scenario:
+    """Apply the shared ``--faults`` / ``--integrity`` / ``--backend`` flags.
 
+    ``--backend`` has the highest selection precedence: it overwrites the
+    config field, which in turn shadows the ``REPRO_BACKEND`` env var.
+    """
+    if getattr(args, "faults", None):
         from repro.faults import load_fault_schedule
 
         try:
@@ -174,34 +178,10 @@ def _apply_robustness(scenario: Scenario, args) -> Scenario:
             )
         except (ValueError, TypeError, KeyError) as exc:
             raise SystemExit(f"bad fault schedule {args.faults}: {exc}")
-    if getattr(args, "integrity", False):
-        import dataclasses
-
-        scenario = dataclasses.replace(
-            scenario,
-            localizer_config=scenario.localizer_config.with_overrides(
-                integrity_enabled=True
-            ),
-        )
-    return scenario
-
-
-def _apply_backend(scenario: Scenario, args) -> Scenario:
-    """Apply the shared ``--backend`` flag to a scenario's config.
-
-    The CLI flag has the highest selection precedence: it overwrites the
-    config field, which in turn shadows the ``REPRO_BACKEND`` env var.
-    """
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return scenario
-    import dataclasses
-
-    return dataclasses.replace(
+    return with_config(
         scenario,
-        localizer_config=scenario.localizer_config.with_overrides(
-            backend=backend
-        ),
+        backend=getattr(args, "backend", None),
+        integrity=getattr(args, "integrity", False),
     )
 
 
@@ -257,25 +237,23 @@ def _open_ledger(args) -> Optional[Ledger]:
     return Ledger(args.ledger)
 
 
-def _report_run(scenario, policy, args) -> None:
-    """Run + report a scenario with the shared CLI flags applied."""
-    record_path = getattr(args, "stream", None)
-    if record_path and (
+def _report_run(spec: SessionSpec, args) -> None:
+    """Run + report ``args.repeats`` copies of a spec (run / record / run-file)."""
+    if spec.record_path and (
         args.repeats != 1 or args.workers or args.checkpoint_every > 0
     ):
         raise SystemExit(
             "--stream recording requires a single serial uncheckpointed run "
             "(--repeats 1, --workers 0, no --checkpoint-every)"
         )
-    print(scenario.describe())
+    print(spec.scenario.describe())
     tracer, registry = _open_instrumentation(args)
     ledger = _open_ledger(args)
     try:
         agg = run_repeated(
-            scenario,
+            spec,
             n_repeats=args.repeats,
             base_seed=args.seed,
-            fusion_policy=policy,
             tracer=tracer,
             metrics=registry,
             workers=args.workers,
@@ -283,8 +261,6 @@ def _report_run(scenario, policy, args) -> None:
             checkpoint_dir=args.checkpoint_dir,
             ledger=ledger,
             flight_dir=getattr(args, "flight_dir", None),
-            record_path=record_path,
-            record_stream_id=getattr(args, "stream_id", None),
         )
         if tracer is not None and registry is not None:
             # The trace carries the final metrics snapshot too, so a
@@ -293,16 +269,16 @@ def _report_run(scenario, policy, args) -> None:
     finally:
         if tracer is not None:
             tracer.close()
-    _print_aggregate(scenario, agg, args)
+    _print_aggregate(spec.scenario, agg, args)
     _print_instrumentation(args, registry)
-    if record_path:
+    if spec.record_path:
         from repro.streams import read_header
 
-        header = read_header(record_path)
+        header = read_header(spec.record_path)
         print(
-            f"\nrecorded stream {header.stream_id} -> {record_path} "
+            f"\nrecorded stream {header.stream_id} -> {spec.record_path} "
             f"({header.n_time_steps} steps; replay with: "
-            f"python -m repro replay {record_path})"
+            f"python -m repro replay {spec.record_path})"
         )
     if ledger is not None:
         print(
@@ -312,92 +288,26 @@ def _report_run(scenario, policy, args) -> None:
         )
 
 
-def cmd_run(args) -> int:
-    scenario, policy = _build_scenario(args)
-    scenario = _apply_robustness(scenario, args)
-    scenario = _apply_backend(scenario, args)
-    _report_run(scenario, policy, args)
-    return 0
-
-
-def cmd_record(args) -> int:
-    """``record``: a single run teeing its raw measurements to a stream.
-
-    Recording happens *before* fault injection, so the stream is the
-    clean measurement realization; a replay re-applies (or swaps) the
-    fault schedule deterministically on top of it.
-    """
-    scenario, policy = _build_scenario(args)
-    scenario = _apply_robustness(scenario, args)
-    scenario = _apply_backend(scenario, args)
-    # The record command is a single serial run by construction.
-    args.stream = args.out
-    args.repeats = 1
-    args.workers = 0
-    args.checkpoint_every = 0
-    args.checkpoint_dir = None
-    _report_run(scenario, policy, args)
-    return 0
-
-
-def cmd_replay(args) -> int:
-    """``replay``: drive a session from a recorded stream file."""
+def _run_one(spec: SessionSpec, args, announce=None, pacer=None) -> int:
+    """Open one session from ``spec``, drive it and print the report."""
     from repro.sim.results import RepeatedRunResult
-    from repro.sim.session import LocalizerSession
-    from repro.streams import (
-        FileReplaySource,
-        StreamFormatError,
-        WallClockPacer,
-        read_header,
-        scenario_from_header,
-    )
+    from repro.sim.serialization import CheckpointError
+    from repro.streams import StreamFormatError
 
-    try:
-        header = read_header(args.stream)
-    except OSError as exc:
-        print(f"{args.stream}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    except StreamFormatError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    scenario = scenario_from_header(
-        header, backend=getattr(args, "backend", None)
-    )
-    if args.no_faults:
-        scenario = scenario.with_faults(None)
-    scenario = _apply_robustness(scenario, args)
-    policy = scenario_c_fusion_policy(scenario) if args.fusion_auto else None
-    seed = args.seed if args.seed is not None else header.seed
-    print(scenario.describe())
-    print(
-        f"replaying stream {header.stream_id} ({header.n_time_steps} steps, "
-        f"recorded seed {header.seed}, replay seed {seed})"
-    )
-    pacer = WallClockPacer(speed=args.speed) if args.pace == "wall" else None
-    checkpoint_path = None
-    if args.checkpoint_every > 0:
-        if args.checkpoint_dir is None:
-            raise SystemExit("--checkpoint-every needs --checkpoint-dir")
-        from pathlib import Path
-
-        Path(args.checkpoint_dir).mkdir(parents=True, exist_ok=True)
-        checkpoint_path = str(Path(args.checkpoint_dir) / "replay.ckpt.json")
     tracer, registry = _open_instrumentation(args)
     ledger = _open_ledger(args)
     try:
         try:
-            source = FileReplaySource(args.stream, pacer=pacer)
-            session = LocalizerSession(
-                scenario,
-                seed=seed,
-                fusion_policy=policy,
-                source=source,
-                tracer=tracer,
-                metrics=registry,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                ledger=ledger,
-            )
+            # ValueError: a stream shorter than the scenario it replays.
+            session = spec.open(tracer, registry, ledger)
+        except (CheckpointError, StreamFormatError, ValueError) as exc:
+            print(str(exc), file=sys.stderr)
+            return 1
+        if pacer is not None:
+            session.source.pacer = pacer
+        if announce is not None:
+            announce(session)
+        try:
             result = session.run()
         except StreamFormatError as exc:
             print(str(exc), file=sys.stderr)
@@ -412,17 +322,96 @@ def cmd_replay(args) -> int:
         source_labels=result.source_labels,
         runs=[result],
     )
-    args.seed = seed
-    _print_aggregate(scenario, agg, args)
+    args.seed = session.seed
+    _print_aggregate(session.scenario, agg, args)
     _print_instrumentation(args, registry)
-    if checkpoint_path is not None:
+    if ledger is not None:
+        print(f"\nappended the run manifest to the ledger at {ledger.root}")
+    return 0
+
+
+def _run_spec(args, scenario: Scenario, policy=None) -> SessionSpec:
+    """The spec ``run`` / ``record`` / ``run-file`` repeat."""
+    return SessionSpec(
+        scenario=_configure(scenario, args),
+        fusion_policy=policy,
+        record_path=getattr(args, "stream", None),
+        record_stream_id=getattr(args, "stream_id", None),
+    )
+
+
+def cmd_run(args) -> int:
+    _report_run(_run_spec(args, *_build_scenario(args)), args)
+    return 0
+
+
+def cmd_record(args) -> int:
+    """``record``: a single run teeing its raw measurements to a stream.
+
+    Recording happens *before* fault injection, so the stream is the
+    clean measurement realization; a replay re-applies (or swaps) the
+    fault schedule deterministically on top of it.
+    """
+    # The record command is a single serial run by construction.
+    args.stream = args.out
+    args.repeats = 1
+    args.workers = 0
+    args.checkpoint_every = 0
+    args.checkpoint_dir = None
+    _report_run(_run_spec(args, *_build_scenario(args)), args)
+    return 0
+
+
+def cmd_replay(args) -> int:
+    """``replay``: drive a session from a recorded stream file."""
+    from repro.streams import (
+        StreamFormatError,
+        WallClockPacer,
+        read_header,
+        scenario_from_header,
+    )
+
+    try:
+        header = read_header(args.stream)
+    except OSError as exc:
+        print(f"{args.stream}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except StreamFormatError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    scenario = scenario_from_header(header)
+    if args.no_faults:
+        scenario = scenario.with_faults(None)
+    scenario = _configure(scenario, args)
+    seed = args.seed if args.seed is not None else header.seed
+    checkpoint_path = None
+    if args.checkpoint_every > 0:
+        if args.checkpoint_dir is None:
+            raise SystemExit("--checkpoint-every needs --checkpoint-dir")
+        checkpoint_path = str(Path(args.checkpoint_dir) / "replay.ckpt.json")
+    spec = SessionSpec(
+        scenario=scenario,
+        stream_path=args.stream,
+        seed=seed,
+        fusion_policy=(
+            scenario_c_fusion_policy(scenario) if args.fusion_auto else None
+        ),
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=checkpoint_path,
+    )
+    print(scenario.describe())
+    print(
+        f"replaying stream {header.stream_id} ({header.n_time_steps} steps, "
+        f"recorded seed {header.seed}, replay seed {seed})"
+    )
+    pacer = WallClockPacer(speed=args.speed) if args.pace == "wall" else None
+    status = _run_one(spec, args, pacer=pacer)
+    if status == 0 and checkpoint_path is not None:
         print(
             f"\ncheckpointed to {checkpoint_path} (resume with: python -m "
             f"repro resume {checkpoint_path} --stream {args.stream})"
         )
-    if ledger is not None:
-        print(f"\nappended the replay manifest to the ledger at {ledger.root}")
-    return 0
+    return status
 
 
 def cmd_report_trace(args) -> int:
@@ -563,9 +552,9 @@ def cmd_sweep(args) -> int:
                 background_cpm=value,
                 n_time_steps=args.steps,
             )
-        scenario = _apply_robustness(scenario, args)
-        scenario = _apply_backend(scenario, args)
-        variants.append(Variant(f"{args.parameter}={value:g}", scenario))
+        variants.append(
+            Variant(f"{args.parameter}={value:g}", _configure(scenario, args))
+        )
     spec = SweepSpec(
         variants=tuple(variants), n_repeats=args.repeats, base_seed=args.seed
     )
@@ -629,63 +618,38 @@ def cmd_export(args) -> int:
 def cmd_run_file(args) -> int:
     from repro.sim.serialization import load_scenario
 
-    scenario = load_scenario(args.path)
-    scenario = _apply_robustness(scenario, args)
-    scenario = _apply_backend(scenario, args)
-    _report_run(scenario, None, args)
+    _report_run(_run_spec(args, load_scenario(args.path)), args)
     return 0
 
 
 def cmd_resume(args) -> int:
-    from repro.sim.serialization import CheckpointError
-    from repro.sim.session import LocalizerSession
+    spec = SessionSpec(
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        stream_path=args.stream,
+        backend=args.backend,
+        strict_backend=args.strict_backend,
+        flight_path=args.flight,
+    )
+    if not spec.resumable:
+        print(f"cannot read checkpoint {args.checkpoint}: no such file",
+              file=sys.stderr)
+        return 1
 
-    tracer, registry = _open_instrumentation(args)
-    try:
-        try:
-            session = LocalizerSession.resume_from_checkpoint(
-                args.checkpoint,
-                tracer=tracer,
-                metrics=registry,
-                checkpoint_every=args.checkpoint_every,
-                ledger=_open_ledger(args),
-                flight_path=getattr(args, "flight", None),
-                strict_backend=getattr(args, "strict_backend", False),
-                backend_override=getattr(args, "backend", None),
-                stream_path=getattr(args, "stream", None),
-            )
-        except CheckpointError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
+    def announce(session) -> None:
         print(session.scenario.describe())
         print(
             f"resumed at step {session.step_index}/"
             f"{session.scenario.n_time_steps}"
             + (" (already finished)" if session.finished else "")
         )
-        result = session.run()
-        if tracer is not None and registry is not None:
-            registry.flush_to(tracer.sink)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    from repro.sim.results import RepeatedRunResult
 
-    agg = RepeatedRunResult(
-        scenario_name=result.scenario_name,
-        source_labels=result.source_labels,
-        runs=[result],
-    )
-    args.seed = session.seed
-    _print_aggregate(session.scenario, agg, args)
-    _print_instrumentation(args, registry)
-    return 0
+    return _run_one(spec, args, announce=announce)
 
 
 def cmd_serve(args) -> int:
     import asyncio
     import tempfile
-    from pathlib import Path
 
     from repro.serve import (
         AdmissionConfig,
@@ -1051,10 +1015,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-every", type=int, default=0, metavar="N",
         help="keep snapshotting every N steps to the same file (0 = off)",
     )
-    resume_parser.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="append the finished run's manifest to the ledger at DIR",
-    )
+    ledger_flags(resume_parser, flight=False)
     resume_parser.add_argument(
         "--flight", default=None, metavar="PATH",
         help="arm a flight recorder; on a crash the last trace events "

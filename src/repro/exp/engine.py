@@ -49,7 +49,7 @@ import tempfile
 import time
 import traceback as traceback_module
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.core.parallel import WorkerPool
 from repro.exp.spec import SweepCell, SweepSpec
+from repro.obs.ledger import RunManifest
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sinks import InMemorySink, JsonlSink, TagSink, TeeSink, read_jsonl_lenient
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -66,7 +67,7 @@ from repro.sim.serialization import (
     run_result_from_dict,
     run_result_to_dict,
 )
-from repro.sim.session import LocalizerSession
+from repro.sim.session import LocalizerSession, SessionSpec
 
 logger = logging.getLogger(__name__)
 
@@ -210,64 +211,33 @@ def cell_checkpoint_path(checkpoint_dir: str | Path, cell: SweepCell) -> Path:
     )
 
 
-def _build_session(
-    payload: dict,
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
-) -> Tuple[LocalizerSession, bool]:
-    """A session for one cell: restored from its checkpoint when one exists.
+def _open_cell(spec: SessionSpec, tracer, metrics) -> Tuple[LocalizerSession, bool]:
+    """``(session, resumed)`` for one cell.
 
-    Returns ``(session, resumed)``.  An unreadable/corrupted checkpoint is
-    logged and ignored -- the cell restarts from scratch rather than
-    failing the sweep.
+    An unreadable checkpoint is logged and deleted: the cell restarts
+    from scratch rather than failing the sweep.
     """
-    checkpoint_path = payload["checkpoint_path"]
-    stream = payload.get("stream")
-    if checkpoint_path is not None and Path(checkpoint_path).exists():
-        try:
-            session = LocalizerSession.resume_from_checkpoint(
-                checkpoint_path,
-                tracer=tracer,
-                metrics=metrics,
-                checkpoint_every=payload["checkpoint_every"],
-                stream_path=stream,
-            )
-            return session, True
-        except CheckpointError as exc:
-            logger.warning(
-                "unusable checkpoint %s (%s); cell restarts from scratch",
-                checkpoint_path, exc,
-            )
-    source = None
-    if stream is not None:
-        # Stream-backed cell: replay the recorded file instead of
-        # simulating.  The source is built worker-side (sources hold
-        # open handles and parsed batches; only the path is picklable).
-        from repro.streams.source import FileReplaySource
-
-        source = FileReplaySource(stream)
-    session = LocalizerSession(
-        payload["scenario"],
-        seed=payload["seed"],
-        fusion_policy=payload["fusion_policy"],
-        tracer=tracer,
-        metrics=metrics,
-        record_health=payload["record_health"],
-        run_index=payload["run_index"],
-        checkpoint_every=payload["checkpoint_every"],
-        checkpoint_path=checkpoint_path,
-        source=source,
-    )
-    return session, False
+    resumed = spec.resumable
+    try:
+        return spec.open(tracer, metrics), resumed
+    except CheckpointError as exc:
+        if not resumed:
+            raise
+        logger.warning(
+            "unusable checkpoint %s (%s); cell restarts from scratch",
+            spec.checkpoint_path, exc,
+        )
+        Path(spec.checkpoint_path).unlink()
+        return spec.open(tracer, metrics), False
 
 
 def _drive_cell(
     payload: dict,
     tracer: Optional[Tracer],
     metrics: Optional[MetricsRegistry],
-) -> RunResult:
-    """Build (or restore) one cell's session and drive it to completion."""
-    session, resumed = _build_session(payload, tracer, metrics)
+) -> Tuple[RunResult, dict]:
+    """Drive one cell's session to completion: ``(result, manifest doc)``."""
+    session, resumed = _open_cell(payload["spec"], tracer, metrics)
     fail_at = payload.get("fail_at_step")
     if fail_at is not None and not resumed:
         # Fault-injection hook for resilience tests: die abruptly (no
@@ -284,15 +254,16 @@ def _drive_cell(
         # Final snapshot: a crash *after* this point restores to a
         # finished session and returns instantly.
         session.save_checkpoint(session.checkpoint_path)
-    return session.result()
+    return session.result(), session.manifest().to_dict()
 
 
 def _execute_cell(payload: dict) -> dict:
     """Run one sweep cell; executed inside a worker process.
 
     Returns a picklable outcome document: the run result as a
-    serialization dict, the cell's trace records (when the parent traces),
-    and the worker-local metrics registry (when the parent aggregates).
+    serialization dict, the session manifest, the cell's trace records
+    (when the parent traces), and the worker-local metrics registry (when
+    the parent aggregates).
 
     When the payload carries a ``span``/``spool_path``, every event is
     tagged with the span id and *also* flushed line-by-line to the spool
@@ -310,42 +281,15 @@ def _execute_cell(payload: dict) -> dict:
     tracer = Tracer(chain) if chain is not None else None
     registry = MetricsRegistry() if payload["metrics"] else None
     try:
-        result = _drive_cell(payload, tracer, registry)
+        result, manifest = _drive_cell(payload, tracer, registry)
     finally:
         if spool is not None:
             spool.close()
     return {
         "result": run_result_to_dict(result),
+        "manifest": manifest,
         "records": sink.records if sink is not None else None,
         "metrics": registry,
-    }
-
-
-def _cell_payload(
-    cell: SweepCell,
-    trace: bool,
-    metrics: bool,
-    record_health: bool,
-    checkpoint_every: int = 0,
-    checkpoint_dir: Optional[str | Path] = None,
-    fail_at_step: Optional[int] = None,
-) -> dict:
-    return {
-        "scenario": cell.scenario,
-        "fusion_policy": cell.fusion_policy,
-        "seed": cell.seed,
-        "stream": cell.stream,
-        "run_index": cell.repeat_index,
-        "trace": trace,
-        "metrics": metrics,
-        "record_health": record_health,
-        "checkpoint_every": checkpoint_every,
-        "checkpoint_path": (
-            str(cell_checkpoint_path(checkpoint_dir, cell))
-            if checkpoint_dir is not None and checkpoint_every > 0
-            else None
-        ),
-        "fail_at_step": fail_at_step,
     }
 
 
@@ -360,12 +304,14 @@ def _replay_records(records: Optional[List[dict]], tracer: Tracer) -> None:
         tracer.emit(record["type"], **fields)
 
 
-def _replay(outcome: dict, tracer: Tracer, metrics: MetricsRegistry) -> RunResult:
+def _replay(
+    outcome: dict, tracer: Tracer, metrics: MetricsRegistry
+) -> Tuple[RunResult, dict]:
     """Fold one worker outcome back into the parent's observability."""
     _replay_records(outcome["records"], tracer)
     if outcome["metrics"] is not None:
         metrics.merge(outcome["metrics"])
-    return run_result_from_dict(outcome["result"])
+    return run_result_from_dict(outcome["result"]), outcome["manifest"]
 
 
 def run_cells(
@@ -374,10 +320,10 @@ def run_cells(
     timeout: Optional[float] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    record_health: bool = True,
     checkpoint_every: int = 0,
     checkpoint_dir: Optional[str | Path] = None,
     failures: Optional[List[CellFailure]] = None,
+    manifests: Optional[List[dict]] = None,
     _fault_steps: Optional[Dict[int, int]] = None,
 ) -> List[RunResult]:
     """Execute sweep cells, returning results in cell order.
@@ -403,7 +349,10 @@ def run_cells(
     :class:`CellFailure` per dead attempt, in cell order -- exception
     type, traceback, and the partial trace events recovered from the
     attempt's spool file.  The same information flows into the parent's
-    tracer as ``cell_failure`` events.
+    tracer as ``cell_failure`` events.  ``manifests`` (optional
+    accumulator list) receives each cell's session manifest document
+    (:meth:`LocalizerSession.manifest`), in cell order, for the caller
+    to append to a ledger.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -417,15 +366,16 @@ def run_cells(
     fault_steps = _fault_steps or {}
 
     payloads = [
-        _cell_payload(
-            cell,
-            tracer.enabled,
-            metrics.enabled,
-            record_health,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            fail_at_step=fault_steps.get(i),
-        )
+        {
+            "spec": cell.spec if checkpoint_every <= 0 else replace(
+                cell.spec,
+                checkpoint_every=checkpoint_every,
+                checkpoint_path=cell_checkpoint_path(checkpoint_dir, cell),
+            ),
+            "trace": tracer.enabled,
+            "metrics": metrics.enabled,
+            "fail_at_step": fault_steps.get(i),
+        }
         for i, cell in enumerate(cells)
     ]
 
@@ -433,12 +383,15 @@ def run_cells(
         # Serial path: same session machinery (hence also resumable), the
         # parent's tracer/metrics wired straight in.  Fault injection is a
         # worker-only concept -- it would kill the caller here.
-        return [
-            _drive_cell(
+        results = []
+        for payload in payloads:
+            result, manifest = _drive_cell(
                 {**payload, "fail_at_step": None}, tracer, metrics
             )
-            for payload in payloads
-        ]
+            results.append(result)
+            if manifests is not None:
+                manifests.append(manifest)
+        return results
     # Each worker attempt spools its events to an append-flushed file so
     # the parent can recover the partial buffer of a killed/hung attempt.
     spool_dir = (
@@ -496,7 +449,7 @@ def run_cells(
                     # Seed-derived stagger (see retry_backoff_seconds): failed
                     # cells re-land on the rebuilt pool spread apart, not as
                     # the same thundering herd that just died together.
-                    delay = retry_backoff_seconds(payloads[i]["seed"])
+                    delay = retry_backoff_seconds(payloads[i]["spec"].seed)
                     logger.info(
                         "sweep cell %d retrying after %.3fs backoff", i, delay
                     )
@@ -549,7 +502,10 @@ def run_cells(
                     tracer.emit("cell_failure", **failure.to_event())
                 if failures is not None:
                     failures.append(failure)
-            results.append(_replay(outcome, tracer, metrics))
+            result, manifest = _replay(outcome, tracer, metrics)
+            results.append(result)
+            if manifests is not None:
+                manifests.append(manifest)
         return results
     finally:
         if spool_dir is not None:
@@ -587,7 +543,6 @@ def run_sweep(
     timeout: Optional[float] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    record_health: bool = True,
     checkpoint_every: int = 0,
     checkpoint_dir: Optional[str | Path] = None,
     ledger=None,
@@ -598,28 +553,28 @@ def run_sweep(
     fallback) are reported in ``SweepResult.failures`` with exception
     type, traceback and recovered trace events.
 
-    ``ledger`` (a :class:`repro.obs.ledger.Ledger`) appends one manifest
-    per cell, parent-side, after all results are in -- one series per
-    variant name.
+    ``ledger`` (a :class:`repro.obs.ledger.Ledger`) appends each cell's
+    session manifest as a ``sweep`` entry, parent-side, after all
+    results are in -- one series per variant name.
     """
     start = time.perf_counter()
     failures: List[CellFailure] = []
+    manifests: List[dict] = []
     runs = run_cells(
         spec.cells(),
         workers=workers,
         timeout=timeout,
         tracer=tracer,
         metrics=metrics,
-        record_health=record_health,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         failures=failures,
+        manifests=manifests,
     )
     elapsed = time.perf_counter() - start
     result = SweepResult(
         spec=spec, workers=workers, elapsed_seconds=elapsed, failures=failures
     )
-    cells = spec.cells()
     for vi, variant in enumerate(spec.variants):
         variant_runs = runs[vi * spec.n_repeats : (vi + 1) * spec.n_repeats]
         result.results[variant.name] = RepeatedRunResult(
@@ -627,34 +582,9 @@ def run_sweep(
             source_labels=variant_runs[0].source_labels,
             runs=variant_runs,
         )
-        if ledger is not None:
-            from repro.obs.ledger import manifest_from_result
-
-            stream_context = {}
-            if variant.stream is not None:
-                from repro.streams.replay import read_header
-
-                header = read_header(variant.stream)
-                stream_context = {
-                    "source_kind": "file-replay",
-                    "stream_id": header.stream_id,
-                }
-            for r, run in enumerate(variant_runs):
-                cell = cells[vi * spec.n_repeats + r]
-                ledger.append(
-                    manifest_from_result(
-                        run,
-                        kind="sweep",
-                        name=variant.name,
-                        seeds=[cell.seed],
-                        scenario=variant.scenario,
-                        context={
-                            "run_index": r,
-                            "workers": workers,
-                            **stream_context,
-                        },
-                    )
-                )
+    if ledger is not None:
+        for doc in manifests:
+            ledger.append(RunManifest.from_dict({**doc, "kind": "sweep"}))
     logger.info(
         "sweep done: %d cells, workers=%d, %.2fs", spec.n_cells, workers, elapsed
     )

@@ -21,6 +21,7 @@ from repro.core.fusion import FusionRangePolicy
 from repro.faults.schedule import FaultSchedule
 from repro.sim.rng import derive_run_seed
 from repro.sim.scenario import Scenario
+from repro.sim.session import SessionSpec
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,20 @@ class Variant:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One concrete run: a variant at one repeat index with its seed."""
+    """One concrete run: a variant at one repeat index, as a session spec.
+
+    The engine adds the cell's checkpoint path (named by its coordinates)
+    before the spec crosses the process boundary.
+    """
 
     variant_name: str
     variant_index: int
     repeat_index: int
-    seed: int
-    scenario: Scenario
-    fusion_policy: Optional[FusionRangePolicy] = None
-    #: Recorded-stream path driving this cell (None = simulate).
-    stream: Optional[str] = None
+    spec: SessionSpec
+
+    @property
+    def seed(self) -> int:
+        return self.spec.seed
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,14 @@ class SweepSpec:
                         variant_name=variant.name,
                         variant_index=vi,
                         repeat_index=r,
-                        seed=derive_run_seed(base, r),
-                        scenario=variant.scenario,
-                        fusion_policy=variant.fusion_policy,
-                        stream=variant.stream,
+                        spec=SessionSpec(
+                            scenario=variant.scenario,
+                            stream_path=variant.stream,
+                            seed=derive_run_seed(base, r),
+                            fusion_policy=variant.fusion_policy,
+                            run_index=r,
+                            manifest_name=variant.name,
+                        ),
                     )
                 )
         return cells

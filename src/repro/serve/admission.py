@@ -57,7 +57,8 @@ class Rejected:
     """A typed shed decision -- the 503 that never hangs.
 
     ``reason`` is one of ``"tenant_quarantined"``, ``"rate_limited"``,
-    ``"tenant_quota"``, ``"service_capacity"``, ``"queue_full"``.
+    ``"tenant_quota"``, ``"service_capacity"``, ``"queue_full"``, or the
+    service's ``"bad_spec"`` (status 400) and ``"open_failed"``.
     ``retry_after`` (seconds) is set when the condition is transient.
     """
 

@@ -46,7 +46,7 @@ import json
 import time
 import zlib
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -61,6 +61,7 @@ from repro.serve.admission import (
     Rejected,
 )
 from repro.serve.breaker import BreakerBoard, step_backoff_seconds
+from repro.sim.session import SessionSpec
 from repro.serve.shard import (
     ShardHost,
     host_drop,
@@ -158,7 +159,7 @@ class SessionHandle:
     session_id: str
     tenant: str
     shard: int
-    spec: Dict[str, Any]
+    spec: SessionSpec
     state: str = "active"  # active | evicted | completed | failed
     step_index: int = 0
     n_time_steps: Optional[int] = None
@@ -256,9 +257,25 @@ class LocalizationService:
     ) -> Union[Admitted, Rejected]:
         """Admit and open one session; sheds with a typed rejection.
 
-        ``spec`` is the :meth:`repro.serve.shard.ShardHost.open` spec
-        minus the checkpoint fields, which the service owns.
+        ``spec`` is a :class:`~repro.sim.session.SessionSpec` document
+        naming exactly one of ``scenario`` / ``stream_path``; the service
+        owns ``checkpoint_path`` and defaults ``checkpoint_every``.  A
+        malformed spec is rejected here with ``bad_spec`` (400) before
+        any admission slot or shard is touched.
         """
+        try:
+            parsed = self._parse_spec(spec)
+        except ValueError as exc:
+            self.metrics.counter("service.rejected").inc()
+            self.tracer.emit(
+                "service_reject",
+                tenant=tenant,
+                session_id=session_id,
+                reason="bad_spec",
+            )
+            return Rejected(
+                reason="bad_spec", detail=str(exc), status=400, tenant=tenant
+            )
         if session_id in self.sessions:
             return Rejected(
                 reason="duplicate_session",
@@ -277,9 +294,7 @@ class LocalizationService:
                 reason=outcome.reason,
             )
             return outcome
-        spec = dict(spec)
-        spec["checkpoint_path"] = str(self._checkpoint_path(session_id))
-        spec.setdefault("checkpoint_every", self.config.checkpoint_every)
+        spec = replace(parsed, checkpoint_path=self._checkpoint_path(session_id))
         handle = SessionHandle(
             session_id=session_id,
             tenant=tenant,
@@ -493,15 +508,21 @@ class LocalizationService:
         """
         handle = self._handle(session_id)
         handle.degrade_level += 1
-        spec = dict(handle.spec)
-        spec["backend_override"] = self.config.degrade_backend
-        spec["checkpoint_every"] = int(
-            spec.get("checkpoint_every", self.config.checkpoint_every)
-        ) * self.config.degrade_checkpoint_factor
-        if handle.degrade_level >= 2 and spec.get("scenario") is not None:
-            particles = spec["scenario"]["localizer_config"]["n_particles"]
-            spec["n_particles"] = max(
-                1, int(particles * self.config.degrade_particle_fraction)
+        spec = replace(
+            handle.spec,
+            backend=self.config.degrade_backend,
+            checkpoint_every=(
+                handle.spec.checkpoint_every
+                * self.config.degrade_checkpoint_factor
+            ),
+        )
+        if handle.degrade_level >= 2 and spec.scenario is not None:
+            particles = spec.scenario.localizer_config.n_particles
+            spec = replace(
+                spec,
+                n_particles=max(
+                    1, int(particles * self.config.degrade_particle_fraction)
+                )
             )
         handle.spec = spec
         # Cycle through the checkpoint so the new backend/cadence apply.
@@ -516,8 +537,8 @@ class LocalizationService:
             "session_id": session_id,
             "level": handle.degrade_level,
             "reason": reason,
-            "backend": spec["backend_override"],
-            "checkpoint_every": spec["checkpoint_every"],
+            "backend": spec.backend,
+            "checkpoint_every": spec.checkpoint_every,
             "step": handle.step_index,
         }
         self.degradations.append(transition)
@@ -727,6 +748,18 @@ class LocalizationService:
             self.ledger.append(self.manifest())
 
     # --- plumbing ------------------------------------------------------------
+
+    def _parse_spec(self, doc: Any) -> SessionSpec:
+        """The wire spec as a :class:`SessionSpec` (``ValueError`` if bad)."""
+        spec = SessionSpec.from_dict(doc)
+        if (spec.scenario is None) == (spec.stream_path is None):
+            raise ValueError(
+                "a session spec names exactly one of 'scenario' and "
+                "'stream_path'"
+            )
+        if "checkpoint_every" not in doc:
+            spec = replace(spec, checkpoint_every=self.config.checkpoint_every)
+        return spec
 
     def _handle(self, session_id: str) -> SessionHandle:
         handle = self.sessions.get(session_id)

@@ -18,23 +18,22 @@ Self-healing rests on two properties of this layout:
 * every hosted session auto-checkpoints (``checkpoint_every`` /
   ``checkpoint_path`` armed at open), so SIGKILLing the worker loses at
   most the steps since the last snapshot;
-* :func:`host_open` accepts the same spec for a fresh open and a
-  restore -- if the spec's checkpoint file exists, the session resumes
-  from it; otherwise it starts from scratch.  Resurrection after a
-  worker death is therefore literally "re-submit every open spec to the
-  rebuilt pool", and the PR 4/9 resume-parity contract makes the
-  replayed tail bitwise-identical to the uninterrupted run.
+* :func:`host_open` opens a :class:`~repro.sim.session.SessionSpec`,
+  whose one rule covers a fresh open and a restore alike -- if the
+  spec's checkpoint file exists, the session resumes from it; otherwise
+  it starts from scratch.  Resurrection after a worker death is
+  therefore literally "re-submit every open spec to the rebuilt pool",
+  and the resume-parity contract makes the replayed tail
+  bitwise-identical to the uninterrupted run.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.sim.serialization import step_record_to_dict
-from repro.sim.session import LocalizerSession
-from repro.streams.replay import open_replay_session
+from repro.sim.session import LocalizerSession, SessionSpec
 
 __all__ = [
     "ShardHost",
@@ -55,76 +54,18 @@ class ShardHost:
 
     # --- lifecycle -----------------------------------------------------------
 
-    def open(self, session_id: str, spec: Dict[str, Any]) -> Dict[str, Any]:
+    def open(self, session_id: str, spec: SessionSpec) -> Dict[str, Any]:
         """Open (or resume) a session from its spec.
 
-        Spec fields:
-
-        * ``stream_path`` -- replay this ``repro-stream v1`` file
-          (mutually exclusive with ``scenario``);
-        * ``scenario`` -- a scenario document for a live simulator run;
-        * ``seed`` -- run seed (defaults to the stream header's);
-        * ``checkpoint_path`` -- where the session snapshots itself;
-        * ``checkpoint_every`` -- snapshot cadence in steps (>= 1);
-        * ``backend_override`` -- array backend to force (degradation);
-        * ``n_particles`` -- particle-count override (degradation;
-          applies to fresh opens only, never to a checkpoint resume).
-
-        If ``checkpoint_path`` exists the session resumes from it --
-        that one rule is the whole resurrection protocol.
+        The service fills in ``checkpoint_path`` and ``checkpoint_every``,
+        so a resurrected shard resumes every session from its last
+        snapshot -- :meth:`SessionSpec.open`'s one rule is the whole
+        resurrection protocol.
         """
         if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} already hosted")
-        checkpoint_path = spec.get("checkpoint_path")
-        checkpoint_every = int(spec.get("checkpoint_every", 1))
-        backend_override = spec.get("backend_override")
-        resumed = False
-        if checkpoint_path is not None and Path(checkpoint_path).exists():
-            session = LocalizerSession.resume_from_checkpoint(
-                checkpoint_path,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                backend_override=backend_override,
-                stream_path=spec.get("stream_path"),
-            )
-            resumed = True
-        elif spec.get("stream_path") is not None:
-            session = open_replay_session(
-                spec["stream_path"],
-                seed=spec.get("seed"),
-                backend=backend_override,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-            )
-        else:
-            from repro.sim.serialization import scenario_from_dict
-
-            scenario = scenario_from_dict(spec["scenario"])
-            if backend_override is not None:
-                import dataclasses
-
-                scenario = dataclasses.replace(
-                    scenario,
-                    localizer_config=dataclasses.replace(
-                        scenario.localizer_config, backend=backend_override
-                    ),
-                )
-            if spec.get("n_particles") is not None:
-                import dataclasses
-
-                scenario = dataclasses.replace(
-                    scenario,
-                    localizer_config=dataclasses.replace(
-                        scenario.localizer_config,
-                        n_particles=int(spec["n_particles"]),
-                    ),
-                )
-            session = LocalizerSession(
-                scenario,
-                seed=int(spec.get("seed", 0)),
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-            )
+        resumed = spec.resumable
+        session = spec.open()
         self.sessions[session_id] = session
         return {
             "session_id": session_id,
@@ -160,6 +101,7 @@ class ShardHost:
             "scenario_name": result.scenario_name,
             "source_labels": list(result.source_labels),
             "steps": [step_record_to_dict(r) for r in result.steps],
+            "manifest": session.manifest().to_dict(),
         }
 
     def evict(self, session_id: str) -> Dict[str, Any]:
@@ -201,7 +143,7 @@ class ShardHost:
 _HOST = ShardHost()
 
 
-def host_open(session_id: str, spec: Dict[str, Any]) -> Dict[str, Any]:
+def host_open(session_id: str, spec: SessionSpec) -> Dict[str, Any]:
     return _HOST.open(session_id, spec)
 
 

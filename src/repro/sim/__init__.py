@@ -3,7 +3,8 @@
 The evaluation protocol of Section VI: sensors submit one measurement per
 time step ``T`` (so one time step = N localizer iterations), runs last 30
 time steps, and each configuration is repeated (the paper averages 10
-repeats).  :class:`repro.sim.SimulationRunner` drives a ground-truth
+repeats).  A :class:`repro.sim.SessionSpec` describes one run; the
+:class:`repro.sim.LocalizerSession` it opens drives a ground-truth
 :class:`repro.sensors.SensorNetwork` through a
 :class:`repro.network.DeliveryModel` into a localizer and records per-step
 metrics.
@@ -21,8 +22,8 @@ from repro.sim.scenarios import (
     SCENARIO_B_SOURCES,
 )
 from repro.sim.results import StepRecord, RunResult, RepeatedRunResult
-from repro.sim.runner import SimulationRunner, run_scenario, run_repeated
-from repro.sim.session import LocalizerSession
+from repro.sim.runner import run_scenario, run_repeated
+from repro.sim.session import LocalizerSession, SessionSpec
 from repro.sim.serialization import (
     CheckpointError,
     load_checkpoint,
@@ -50,8 +51,8 @@ __all__ = [
     "StepRecord",
     "RunResult",
     "RepeatedRunResult",
-    "SimulationRunner",
     "LocalizerSession",
+    "SessionSpec",
     "run_scenario",
     "run_repeated",
     "CheckpointError",

@@ -1,133 +1,33 @@
-"""The time-stepped simulation driver.
+"""Batch entry points: run a scenario once, or repeat it the paper's way.
 
-Wires together ground truth (RadiationField + SensorNetwork), transport
-(DeliveryModel) and the localizer, and records per-step metrics:
+Each run is one :class:`~repro.sim.session.LocalizerSession` opened from a
+:class:`~repro.sim.session.SessionSpec`: every time step each live sensor
+produces one reading, the delivery model orders (and loses) them, the
+localizer consumes one per iteration, and the step's estimates are scored,
+health-checked and fed to the convergence monitor.  Code that wants to
+advance step-by-step or checkpoint/resume opens the session itself
+(``spec.open()``).
 
-* each *time step*, every live sensor produces one Poisson reading;
-* the delivery model decides the arrival order (and losses);
-* the localizer consumes one measurement per iteration;
-* at the end of each step, mean-shift estimates are extracted and scored
-  against the true sources, population health is snapshotted, and the
-  convergence monitor is updated.
-
-Since the session refactor all of that behaviour lives in
-:class:`~repro.sim.session.LocalizerSession`; ``SimulationRunner`` is the
-thin batch-oriented driver kept for API stability -- it builds a session
-and drives it to completion.  Code that wants to advance step-by-step,
-interleave with the run, or checkpoint/resume should use the session
-directly.
-
-Observability: pass a :class:`~repro.obs.trace.Tracer` to record
-``run_start`` / ``step`` / ``run_end`` events (plus the localizer's own
-``iteration`` / ``extract`` events and the session's ``checkpoint`` /
-``restore`` events) and a :class:`~repro.obs.metrics.MetricsRegistry` to
-aggregate counters and histograms.  Both default to their null
-implementations, which keep the run cost identical to an uninstrumented
-one.
+A :class:`~repro.obs.trace.Tracer` records ``run_start`` / ``step`` /
+``run_end`` events (plus the localizer's and the session's own) and a
+:class:`~repro.obs.metrics.MetricsRegistry` aggregates counters; both
+default to null implementations that cost nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro.core.fusion import FusionRangePolicy
-from repro.eval.metrics import MATCH_RADIUS
-from repro.obs.ledger import Ledger, manifest_from_result
+from repro.obs.ledger import Ledger, RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim.results import RepeatedRunResult, RunResult
 from repro.sim.rng import derive_run_seed
 from repro.sim.scenario import Scenario
-from repro.sim.session import LocalizerSession
-
-
-class SimulationRunner:
-    """Runs one scenario once, from a single master seed.
-
-    ``checkpoint_every``/``checkpoint_path`` pass through to the
-    underlying session: every N completed steps the full run state is
-    snapshotted to ``checkpoint_path`` for later
-    :meth:`LocalizerSession.resume_from_checkpoint`.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed: int = 0,
-        fusion_policy: Optional[FusionRangePolicy] = None,
-        snapshot_steps: Sequence[int] = (),
-        match_radius: float = MATCH_RADIUS,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        record_health: bool = True,
-        convergence_tolerance: float = 3.0,
-        convergence_checks: int = 3,
-        run_index: Optional[int] = None,
-        checkpoint_every: int = 0,
-        checkpoint_path: Optional[str | Path] = None,
-        ledger: Optional[Ledger] = None,
-        manifest_name: Optional[str] = None,
-        flight_path: Optional[str | Path] = None,
-        source=None,
-        record_path: Optional[str | Path] = None,
-        record_stream_id: Optional[str] = None,
-    ):
-        self.scenario = scenario
-        self.seed = seed
-        self.fusion_policy = fusion_policy
-        self.snapshot_steps = set(snapshot_steps)
-        self.match_radius = match_radius
-        self.tracer = tracer
-        self.metrics = metrics
-        self.record_health = record_health
-        self.convergence_tolerance = convergence_tolerance
-        self.convergence_checks = convergence_checks
-        #: Repeat index within a repeated/swept experiment (None for a
-        #: standalone run).  Tagged onto run_start/run_end events so merged
-        #: traces from several repeats -- serial or parallel -- stay
-        #: attributable to their run.
-        self.run_index = run_index
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = checkpoint_path
-        #: Optional run ledger -- when set, the finished session appends a
-        #: :class:`~repro.obs.ledger.RunManifest` to it (see
-        #: docs/OBSERVABILITY.md).
-        self.ledger = ledger
-        self.manifest_name = manifest_name
-        self.flight_path = flight_path
-        #: Measurement source override (default: the in-process simulator)
-        #: and optional stream recording -- see repro.streams.
-        self.source = source
-        self.record_path = record_path
-        self.record_stream_id = record_stream_id
-
-    def session(self) -> LocalizerSession:
-        """A fresh session configured like this runner."""
-        return LocalizerSession(
-            self.scenario,
-            seed=self.seed,
-            fusion_policy=self.fusion_policy,
-            snapshot_steps=self.snapshot_steps,
-            match_radius=self.match_radius,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            record_health=self.record_health,
-            convergence_tolerance=self.convergence_tolerance,
-            convergence_checks=self.convergence_checks,
-            run_index=self.run_index,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_path=self.checkpoint_path,
-            ledger=self.ledger,
-            manifest_name=self.manifest_name,
-            flight_path=self.flight_path,
-            source=self.source,
-            record_path=self.record_path,
-            record_stream_id=self.record_stream_id,
-        )
-
-    def run(self) -> RunResult:
-        return self.session().run()
+from repro.sim.session import SessionSpec
 
 
 def run_scenario(
@@ -139,18 +39,17 @@ def run_scenario(
     metrics: Optional[MetricsRegistry] = None,
 ) -> RunResult:
     """Convenience wrapper: run a scenario once."""
-    return SimulationRunner(
-        scenario,
+    spec = SessionSpec(
+        scenario=scenario,
         seed=seed,
         fusion_policy=fusion_policy,
-        snapshot_steps=snapshot_steps,
-        tracer=tracer,
-        metrics=metrics,
-    ).run()
+        snapshot_steps=tuple(snapshot_steps),
+    )
+    return spec.open(tracer, metrics).run()
 
 
 def run_repeated(
-    scenario: Scenario,
+    scenario: Union[Scenario, SessionSpec],
     n_repeats: int = 10,
     base_seed: int = 0,
     fusion_policy: Optional[FusionRangePolicy] = None,
@@ -163,102 +62,77 @@ def run_repeated(
     ledger: Optional[Ledger] = None,
     manifest_name: Optional[str] = None,
     flight_dir: Optional[str | Path] = None,
-    record_path: Optional[str | Path] = None,
-    record_stream_id: Optional[str] = None,
 ) -> RepeatedRunResult:
-    """Run a scenario ``n_repeats`` times with distinct seeds and aggregate.
+    """Run a scenario (or spec) ``n_repeats`` times with distinct seeds.
 
-    This is the paper's protocol ("each simulation is repeated 10 times and
-    the average results are reported").  A supplied tracer records all
-    repeats into one stream (each bracketed by run_start / run_end events
-    tagged with their ``run_index``).
+    The paper's protocol ("each simulation is repeated 10 times and the
+    average results are reported").  Repeat ``r`` copies the spec with
+    seed ``derive_run_seed(base_seed, r)``; ``fusion_policy`` and
+    ``manifest_name``, when given, replace the spec's.  Every repeat is a
+    cell of the experiment engine (:mod:`repro.exp`): ``workers=0`` runs
+    them serially in-process, ``workers=N`` in a process pool, with
+    bitwise-identical results; ``timeout`` bounds each parallel run.
 
-    ``workers=N`` fans the repeats out to a process pool via the
-    experiment engine (:mod:`repro.exp`); per-run seeds follow the frozen
-    derivation contract in :mod:`repro.sim.rng`, so the parallel result is
-    **bitwise-identical** to the serial one.  ``workers=0`` (the default)
-    runs serially in-process; ``timeout`` bounds each parallel run (one
-    retry, then in-process fallback).
-
-    ``checkpoint_every``/``checkpoint_dir`` make the repeats resumable:
-    each run checkpoints to its own file under ``checkpoint_dir``, and a
-    retried (crashed / timed-out) run restores from its last checkpoint
-    instead of starting over.
-
-    ``ledger`` appends one manifest per finished run.  On the parallel
-    path the appends happen parent-side after the results return, so a
-    crashed worker never leaves a half-written ledger line.
-    ``flight_dir`` (serial path only -- worker crashes already spool
-    their trace events to the parent) arms a per-run flight recorder at
-    ``flight_dir/run-<r>.flight.json``.
-
-    ``record_path`` tees the run's raw measurement batches to a
-    ``repro-stream v1`` file (see :mod:`repro.streams`); recording is
-    only meaningful for a single serial uncheckpointed run.
+    ``checkpoint_every``/``checkpoint_dir`` checkpoint each run to its own
+    file, so a retried run restores instead of starting over;
+    ``flight_dir`` arms a flight recorder at
+    ``flight_dir/run-<r>.flight.json``; ``ledger`` appends each run's
+    manifest parent-side once the results are in.  A spec with a
+    ``record_path`` needs a single serial uncheckpointed run.
     """
+    from repro.exp.engine import run_cells
+    from repro.exp.spec import SweepCell
+
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    if record_path is not None and (
-        n_repeats != 1 or (workers and workers > 0) or checkpoint_every > 0
+    spec = scenario if isinstance(scenario, SessionSpec) else SessionSpec(
+        scenario=scenario
+    )
+    if fusion_policy is not None:
+        spec = replace(spec, fusion_policy=fusion_policy)
+    if manifest_name is not None:
+        spec = replace(spec, manifest_name=manifest_name)
+    if spec.record_path is not None and (
+        n_repeats != 1 or workers > 0 or checkpoint_every > 0
     ):
         raise ValueError(
             "stream recording requires a single serial uncheckpointed run "
             "(n_repeats=1, workers=0, checkpoint_every=0)"
         )
-    from repro.exp.engine import run_cells
-    from repro.exp.spec import SweepSpec
-
-    if (workers and workers > 0) or checkpoint_every > 0:
-        spec = SweepSpec.single(
-            scenario,
-            n_repeats=n_repeats,
-            base_seed=base_seed,
-            fusion_policy=fusion_policy,
+    cells = [
+        SweepCell(
+            variant_name=spec.manifest_name or "",
+            variant_index=0,
+            repeat_index=r,
+            spec=replace(
+                spec,
+                seed=derive_run_seed(base_seed, r),
+                run_index=r,
+                flight_path=(
+                    None
+                    if flight_dir is None
+                    else Path(flight_dir) / f"run-{r}.flight.json"
+                ),
+            ),
         )
-        runs = run_cells(
-            spec.cells(),
-            workers=workers,
-            timeout=timeout,
-            tracer=tracer,
-            metrics=metrics,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-        )
-        if ledger is not None:
-            for r, result in enumerate(runs):
-                ledger.append(
-                    manifest_from_result(
-                        result,
-                        kind="session",
-                        name=manifest_name or scenario.name,
-                        seeds=[derive_run_seed(base_seed, r)],
-                        scenario=scenario,
-                        context={"run_index": r},
-                    )
-                )
-    else:
-        runs = []
-        for r in range(n_repeats):
-            flight_path = None
-            if flight_dir is not None:
-                flight_path = Path(flight_dir) / f"run-{r}.flight.json"
-            runs.append(
-                SimulationRunner(
-                    scenario,
-                    seed=derive_run_seed(base_seed, r),
-                    fusion_policy=fusion_policy,
-                    tracer=tracer,
-                    metrics=metrics,
-                    run_index=r,
-                    ledger=ledger,
-                    manifest_name=manifest_name,
-                    flight_path=flight_path,
-                    record_path=record_path,
-                    record_stream_id=record_stream_id,
-                ).run()
-            )
+        for r in range(n_repeats)
+    ]
+    manifests: List[dict] = []
+    runs = run_cells(
+        cells,
+        workers=workers,
+        timeout=timeout,
+        tracer=tracer,
+        metrics=metrics,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        manifests=manifests,
+    )
+    if ledger is not None:
+        for doc in manifests:
+            ledger.append(RunManifest.from_dict(doc))
     return RepeatedRunResult(
-        scenario_name=scenario.name,
+        scenario_name=runs[0].scenario_name,
         source_labels=runs[0].source_labels,
         runs=runs,
     )

@@ -2,10 +2,8 @@
 
 A :class:`LocalizerSession` is the stateful heart of a simulation run: it
 owns the ground-truth network, the transport stream, the localizer and the
-convergence monitor, and advances **one time step at a time**.  Where the
-legacy :class:`~repro.sim.runner.SimulationRunner` drove a pre-wired
-generator pipeline to completion, a session pulls measurements on demand
-(:meth:`step`), which makes three things possible:
+convergence monitor, and advances **one time step at a time**.  It pulls
+measurements on demand (:meth:`step`), which makes three things possible:
 
 * **interleaving** -- callers can inspect estimates, inject faults, or
   mutate the world between steps;
@@ -25,19 +23,29 @@ that dropped it would recompute estimates at a different point in the
 filter RNG stream), the echo filter's EMA dict round-trips in insertion
 order, and the transport event queue's tiebreak counter survives so
 simultaneous arrivals keep their order.
+
+A :class:`SessionSpec` is the one way every entry point builds a session
+(CLI, repeated runs, sweep cells, replay, serve shards): a frozen,
+JSON-round-trippable value whose :meth:`SessionSpec.open` resumes from the
+spec's checkpoint when that file exists and opens fresh otherwise.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import logging
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.config import BACKEND_NAMES
 from repro.core.diagnostics import ConvergenceMonitor, population_health
 from repro.core.fusion import FusionRangePolicy
 from repro.core.localizer import MultiSourceLocalizer
 from repro.eval.metrics import MATCH_RADIUS, evaluate_step
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.ledger import Ledger, manifest_from_result
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sinks import TeeSink
@@ -66,20 +74,62 @@ from repro.streams.source import (
 
 logger = logging.getLogger(__name__)
 
-# Retained name: external callers historically imported the RNG snapshot
-# helper from here; it now lives in repro.sim.rng.
-_rng_state = export_rng_state
+#: Convergence: every estimate moves less than this many length units ...
+CONVERGENCE_TOLERANCE = 3.0
+#: ... for this many consecutive steps.
+CONVERGENCE_CHECKS = 3
+
+#: A flight-armed session dumps once (reason ``quarantine_storm``) when at
+#: least this share of its sensors is quarantined at the same time.
+FLIGHT_STORM_FRACTION = 0.25
+
+#: Session options this build no longer has, each with the one value it
+#: hard-wires.  Checkpoints written before they were retired carry them:
+#: at exactly these values they still load; any other value asks for
+#: behaviour this build cannot give, so restoring raises CheckpointError.
+RETIRED_SESSION_KEYS: Dict[str, Any] = {
+    "match_radius": MATCH_RADIUS,
+    "record_health": True,
+    "convergence_tolerance": CONVERGENCE_TOLERANCE,
+    "convergence_checks": CONVERGENCE_CHECKS,
+}
+
+
+def with_config(
+    scenario: Scenario,
+    backend: Optional[str] = None,
+    integrity: bool = False,
+    n_particles: Optional[int] = None,
+) -> Scenario:
+    """``scenario`` with its localizer config fields overridden.
+
+    The one override path fresh opens and resumes share; a resume passes
+    ``backend`` only (a restored population cannot change size or grow
+    an integrity layer mid-run).
+    """
+    changes: Dict[str, Any] = {}
+    if backend is not None:
+        changes["backend"] = backend
+    if integrity:
+        changes["integrity_enabled"] = True
+    if n_particles is not None:
+        changes["n_particles"] = n_particles
+    if not changes:
+        return scenario
+    return dataclasses.replace(
+        scenario,
+        localizer_config=scenario.localizer_config.with_overrides(**changes),
+    )
 
 
 class LocalizerSession:
     """One scenario run, advanced step-by-step and snapshotable at any step.
 
-    Constructing a session performs the same work, in the same order, as
-    the start of a legacy runner run: RNG fan-out
-    (:func:`~repro.sim.rng.spawn_rngs`), network construction, localizer
-    initialization (which consumes the filter RNG), and transport stream
-    opening.  That ordering is part of the determinism contract -- do not
-    reorder it.
+    Build one with :meth:`SessionSpec.open`.  Construction runs RNG
+    fan-out (:func:`~repro.sim.rng.spawn_rngs`), network construction,
+    localizer initialization (which consumes the filter RNG), and
+    transport stream opening, in that order.  The ordering is part of the
+    determinism contract -- do not reorder it.
 
     ``checkpoint_every``/``checkpoint_path`` arm automatic checkpointing:
     every ``checkpoint_every`` completed steps the full state is written
@@ -92,20 +142,14 @@ class LocalizerSession:
         seed: int = 0,
         fusion_policy: Optional[FusionRangePolicy] = None,
         snapshot_steps: Sequence[int] = (),
-        match_radius: float = MATCH_RADIUS,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        record_health: bool = True,
-        convergence_tolerance: float = 3.0,
-        convergence_checks: int = 3,
         run_index: Optional[int] = None,
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str | Path] = None,
         ledger: Optional[Ledger] = None,
         manifest_name: Optional[str] = None,
         flight_path: Optional[str | Path] = None,
-        flight_capacity: int = DEFAULT_CAPACITY,
-        flight_storm_fraction: float = 0.25,
         source: Optional[MeasurementSource] = None,
         record_path: Optional[str | Path] = None,
         record_stream_id: Optional[str] = None,
@@ -120,7 +164,6 @@ class LocalizerSession:
         self.seed = seed
         self.fusion_policy = fusion_policy
         self.snapshot_steps = set(snapshot_steps)
-        self.match_radius = match_radius
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: Run ledger (None = no manifest emission, the zero-cost default).
@@ -131,16 +174,14 @@ class LocalizerSession:
         # or quarantine storm.  Tees off the caller's sink (or becomes
         # the sole sink, which force-enables tracing for this session).
         self.flight_path = Path(flight_path) if flight_path is not None else None
-        self.flight_storm_fraction = flight_storm_fraction
         self.flight: Optional[FlightRecorder] = None
         self._storm_dumped = False
         if self.flight_path is not None:
-            self.flight = FlightRecorder(flight_capacity)
+            self.flight = FlightRecorder()
             if self.tracer.enabled:
                 self.tracer = Tracer(TeeSink(self.tracer.sink, self.flight))
             else:
                 self.tracer = Tracer(self.flight)
-        self.record_health = record_health
         self.run_index = run_index
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = (
@@ -182,8 +223,7 @@ class LocalizerSession:
             metrics=self.metrics,
         )
         self.monitor = ConvergenceMonitor(
-            position_tolerance=convergence_tolerance,
-            stable_checks=convergence_checks,
+            CONVERGENCE_TOLERANCE, CONVERGENCE_CHECKS
         )
         self.stream = scenario.delivery.open_stream(transport_rng)
         # Fault injector (scenario.faults): applied by the source between
@@ -234,8 +274,8 @@ class LocalizerSession:
         escaping the step -- including a :class:`CheckpointError` from the
         automatic snapshot -- dumps the last N trace events to the
         ``*.flight.json`` artifact before propagating, and a quarantine
-        storm (more than ``flight_storm_fraction`` of sensors quarantined
-        at once) dumps once without interrupting the run.
+        storm (at least :data:`FLIGHT_STORM_FRACTION` of the sensors
+        quarantined at once) dumps once without interrupting the run.
         """
         if self.flight is None:
             return self._step()
@@ -380,7 +420,9 @@ class LocalizerSession:
         ``stream_sha256``) in the context, which is what lets the trend
         observatory separate live from replayed history and key golden
         streams; recorded runs pin the stream they produced as
-        ``recorded_stream_id``/``recorded_stream_sha256``.
+        ``recorded_stream_id``/``recorded_stream_sha256``.  Every manifest
+        carries :meth:`spec_sha256`, so equal hashes across entry points
+        name the same run.
         """
         context = {
             **(
@@ -402,6 +444,7 @@ class LocalizerSession:
             context["recorded_stream_id"] = self.recorder.stream_id
             if self.recorder.sha256 is not None:
                 context["recorded_stream_sha256"] = self.recorder.sha256
+        context["spec_sha256"] = self.spec_sha256()
         return manifest_from_result(
             self.result(),
             kind="session",
@@ -411,6 +454,27 @@ class LocalizerSession:
             wall_seconds=self._total_seconds,
             context=context,
         )
+
+    def spec_sha256(self) -> str:
+        """SHA-256 of the resolved spec fields that determine the records.
+
+        Covers the scenario (backend, faults and integrity included), the
+        seed, the fusion policy, the snapshot steps, the array backend
+        that actually runs, and the replayed stream's bytes.  Paths,
+        cadences, the repeat index and every observability attachment are
+        left out, so a run hashes the same whichever entry point built
+        it.
+        """
+        doc = {
+            "scenario": scenario_to_dict(self.scenario),
+            "seed": self.seed,
+            "fusion_policy": fusion_policy_to_dict(self.fusion_policy),
+            "snapshot_steps": sorted(self.snapshot_steps),
+            "backend": self.localizer.backend.describe()["name"],
+            "stream_sha256": self.source.describe().get("stream_sha256"),
+        }
+        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
+        return hashlib.sha256(payload).hexdigest()
 
     def _flight_context(self) -> dict:
         return {
@@ -428,7 +492,7 @@ class LocalizerSession:
         if credibility is None:
             return
         n_sensors = max(1, len(self.scenario.sensors))
-        threshold = max(2.0, self.flight_storm_fraction * n_sensors)
+        threshold = max(2.0, FLIGHT_STORM_FRACTION * n_sensors)
         quarantined = len(credibility.quarantined_ids())
         if quarantined >= threshold:
             self._storm_dumped = True
@@ -461,14 +525,13 @@ class LocalizerSession:
             step,
             self.scenario.sources,
             estimates,
-            match_radius=self.match_radius,
         )
         snapshot = (
             self.localizer.particle_snapshot()
             if step in self.snapshot_steps
             else None
         )
-        health = population_health(self.localizer) if self.record_health else None
+        health = population_health(self.localizer)
         converged = self.monitor.update(estimates)
         return StepRecord(
             metrics=metrics,
@@ -528,12 +591,9 @@ class LocalizerSession:
                 "scenario": scenario_to_dict(self.scenario),
                 "seed": self.seed,
                 "run_index": self.run_index,
+                "manifest_name": self.manifest_name,
                 "fusion_policy": fusion_policy_to_dict(self.fusion_policy),
                 "snapshot_steps": sorted(self.snapshot_steps),
-                "match_radius": self.match_radius,
-                "record_health": self.record_health,
-                "convergence_tolerance": self.monitor.position_tolerance,
-                "convergence_checks": self.monitor.stable_checks,
                 "step_index": self.step_index,
                 "finished": self._finished,
                 "started": self._started,
@@ -541,7 +601,7 @@ class LocalizerSession:
                 "records": [step_record_to_dict(r) for r in self.records],
             },
             "transport": {
-                "rng": _rng_state(self.transport_rng),
+                "rng": export_rng_state(self.transport_rng),
                 "stream": self.stream.export_state(),
             },
             "localizer": localizer_state["meta"],
@@ -566,14 +626,10 @@ class LocalizerSession:
     def from_state(
         cls,
         state: dict,
+        spec: Optional["SessionSpec"] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        checkpoint_every: int = 0,
-        checkpoint_path: Optional[str | Path] = None,
         ledger: Optional[Ledger] = None,
-        flight_path: Optional[str | Path] = None,
-        strict_backend: bool = False,
-        stream_path: Optional[str | Path] = None,
     ) -> "LocalizerSession":
         """Rebuild a session from :meth:`export_state` output.
 
@@ -584,25 +640,38 @@ class LocalizerSession:
         recorder) are runtime concerns, not run state -- they are never
         checkpointed and must be re-supplied on restore.
 
+        ``spec`` supplies what the checkpoint does not fix (cadence and
+        path, flight path, ``backend`` and ``strict_backend``, a moved
+        ``stream_path``); its scenario and seed are ignored.
+
         A replayed session's checkpoint carries its stream cursor
         (``state["source"]``): the stream file is reopened -- from
-        ``stream_path`` if given, else the recorded location -- verified
-        against the pinned SHA-256, and resumed at the next batch, so
-        mid-stream resume is bitwise too.
+        ``spec.stream_path`` if given, else the recorded location --
+        verified against the pinned SHA-256, and resumed at the next
+        batch, so mid-stream resume is bitwise too.
 
         ``strict_backend=True`` turns the backend-mismatch warning (the
         checkpoint records which array backend wrote it; restoring under
         a different one forfeits bitwise resume parity) into a
         :class:`~repro.sim.serialization.CheckpointError`.
         """
+        spec = spec if spec is not None else SessionSpec()
         doc = state["session"]
+        for key, expected in RETIRED_SESSION_KEYS.items():
+            value = doc.get(key, expected)
+            if type(value) is not type(expected) or value != expected:
+                raise CheckpointError(
+                    f"checkpoint session key {key!r} is retired; this build "
+                    f"hard-wires {expected!r}, got {value!r}"
+                )
+        scenario = with_config(
+            scenario_from_dict(doc["scenario"]), backend=spec.backend
+        )
         recorded_backend = (state.get("localizer") or {}).get("backend")
-        if strict_backend and recorded_backend is not None:
+        if spec.strict_backend and recorded_backend is not None:
             from repro.core.backend import get_backend
 
-            active = get_backend(
-                scenario_from_dict(doc["scenario"]).localizer_config.backend
-            ).describe()
+            active = get_backend(scenario.localizer_config.backend).describe()
             if recorded_backend.get("name") != active["name"]:
                 raise CheckpointError(
                     f"checkpoint was written by backend "
@@ -611,31 +680,27 @@ class LocalizerSession:
                     f"under {active['name']!r} ({active['dtype']}); pass "
                     f"strict_backend=False to accept non-bitwise resume"
                 )
-        scenario = scenario_from_dict(doc["scenario"])
+        source = (
+            FileReplaySource.from_cursor(state["source"], path=spec.stream_path)
+            if "source" in state
+            else None
+        )
         session = cls(
             scenario,
             seed=doc["seed"],
             fusion_policy=fusion_policy_from_dict(doc["fusion_policy"]),
             snapshot_steps=doc["snapshot_steps"],
-            match_radius=doc["match_radius"],
             tracer=tracer,
             metrics=metrics,
-            record_health=doc["record_health"],
-            convergence_tolerance=doc["convergence_tolerance"],
-            convergence_checks=doc["convergence_checks"],
             run_index=doc["run_index"],
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
+            checkpoint_every=spec.checkpoint_every,
+            checkpoint_path=spec.checkpoint_path,
             ledger=ledger,
-            flight_path=flight_path,
+            manifest_name=spec.manifest_name or doc.get("manifest_name"),
+            flight_path=spec.flight_path,
+            source=source,
         )
-        if "source" in state:
-            source = FileReplaySource.from_cursor(
-                state["source"], path=stream_path
-            )
-            source.injector = session.injector
-            session.source = source
-        else:
+        if source is None:
             session.source.load_cursor(state["network"])
         session.transport_rng.bit_generator.state = state["transport"]["rng"]
         session.stream.load_state(state["transport"]["stream"])
@@ -684,49 +749,202 @@ class LocalizerSession:
             self.metrics.counter("checkpoint.bytes").inc(nbytes)
         return nbytes
 
+
+#: SessionSpec fields with a scalar JSON value, and that value's type.
+_SCALAR_FIELDS: Dict[str, type] = {
+    **dict.fromkeys(("seed", "n_particles", "run_index", "checkpoint_every"), int),
+    **dict.fromkeys(("stream_path", "backend", "checkpoint_path", "flight_path",
+                     "record_path", "record_stream_id", "manifest_name"), str),
+    "strict_backend": bool,
+}
+_PATH_FIELDS = ("stream_path", "checkpoint_path", "flight_path", "record_path")
+
+
+@dataclass(frozen=True)
+class SessionSpec:
+    """Everything that builds one session, as one frozen JSON-safe value.
+
+    What runs: a ``scenario`` to simulate, or a ``stream_path`` to replay
+    (under ``scenario`` if given -- it may ask for fewer steps than the
+    file holds -- else the stream header's); the ``seed`` (default: the
+    header's, else 0); a ``fusion_policy``; ``snapshot_steps`` whose
+    particle population lands in the step record; a ``backend`` override
+    (also applied on resume); an ``n_particles`` override (fresh opens
+    only).  Around it: the ``run_index`` within a repeated run,
+    ``checkpoint_path``/``checkpoint_every``, ``strict_backend`` (refuse
+    a resume under another backend), ``flight_path``,
+    ``record_path``/``record_stream_id`` (tee the raw batches to a stream
+    file) and the ledger ``manifest_name`` (default: scenario name).
+
+    :meth:`open` applies the one rule every entry point shares: if the
+    spec's checkpoint file exists the session resumes from it, otherwise
+    it opens fresh.  Tracer, metrics and ledger are arguments of
+    :meth:`open`, not fields: they are attachments, not run state.
+    """
+
+    scenario: Optional[Scenario] = None
+    stream_path: Optional[str] = None
+    seed: Optional[int] = None
+    fusion_policy: Optional[FusionRangePolicy] = None
+    snapshot_steps: Tuple[int, ...] = ()
+    backend: Optional[str] = None
+    n_particles: Optional[int] = None
+    run_index: Optional[int] = None
+    checkpoint_path: Optional[str] = None
+    checkpoint_every: int = 0
+    strict_backend: bool = False
+    flight_path: Optional[str] = None
+    record_path: Optional[str] = None
+    record_stream_id: Optional[str] = None
+    manifest_name: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, str(value))
+        object.__setattr__(
+            self, "snapshot_steps", tuple(int(s) for s in self.snapshot_steps)
+        )
+        if self.checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
+            )
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
+            raise ValueError(
+                f"backend must be None or one of {', '.join(BACKEND_NAMES)}, "
+                f"got {self.backend!r}"
+            )
+        if self.n_particles is not None and self.n_particles < 1:
+            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
+
+    # --- JSON round trip ---------------------------------------------------------
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The spec as a JSON-safe document (:meth:`from_dict` inverts it)."""
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc["scenario"] = (
+            None if self.scenario is None else scenario_to_dict(self.scenario)
+        )
+        doc["fusion_policy"] = (
+            None
+            if self.fusion_policy is None
+            else fusion_policy_to_dict(self.fusion_policy)
+        )
+        doc["snapshot_steps"] = list(self.snapshot_steps)
+        return doc
+
     @classmethod
-    def resume_from_checkpoint(
-        cls,
-        path: str | Path,
+    def from_dict(cls, doc: Any) -> "SessionSpec":
+        """Parse a spec document; any malformed input raises ``ValueError``.
+
+        Unknown keys, wrongly typed values and unparsable scenario or
+        fusion-policy documents are all rejected before anything opens.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"a session spec is a JSON object, got {doc!r}")
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown session spec key(s) {unknown}")
+        kwargs = dict(doc)
+        for key, parse in (
+            ("scenario", scenario_from_dict),
+            ("fusion_policy", fusion_policy_from_dict),
+        ):
+            if kwargs.get(key) is not None:
+                try:
+                    kwargs[key] = parse(kwargs[key])
+                except (AttributeError, CheckpointError, KeyError,
+                        TypeError, ValueError) as exc:
+                    raise ValueError(f"bad session spec {key!r}: {exc!r}")
+        steps = kwargs.get("snapshot_steps", [])
+        if not isinstance(steps, list) or any(type(v) is not int for v in steps):
+            raise ValueError(f"bad session spec 'snapshot_steps': {steps!r}")
+        for key, expected in _SCALAR_FIELDS.items():
+            value = kwargs.get(key)
+            optional = key not in ("checkpoint_every", "strict_backend")
+            if key in kwargs and type(value) is not expected and not (
+                value is None and optional
+            ):
+                raise ValueError(
+                    f"session spec key {key!r} must be {expected.__name__}, "
+                    f"got {value!r}"
+                )
+        return cls(**kwargs)
+
+    # --- opening -------------------------------------------------------------------
+
+    @property
+    def resumable(self) -> bool:
+        """True when :meth:`open` will resume (the checkpoint file exists)."""
+        return (
+            self.checkpoint_path is not None
+            and Path(self.checkpoint_path).exists()
+        )
+
+    def open(
+        self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        checkpoint_every: int = 0,
-        checkpoint_path: Optional[str | Path] = None,
         ledger: Optional[Ledger] = None,
-        flight_path: Optional[str | Path] = None,
-        strict_backend: bool = False,
-        backend_override: Optional[str] = None,
-        stream_path: Optional[str | Path] = None,
-    ) -> "LocalizerSession":
-        """Load a checkpoint file and rebuild the session it captured.
+    ) -> LocalizerSession:
+        """The session this spec describes, resumed or fresh.
 
-        ``checkpoint_path`` defaults to the file being resumed, so a
-        session restored with ``checkpoint_every`` set keeps overwriting
-        the same snapshot as it advances.  ``backend_override`` rewrites
-        the checkpointed config's array backend before the session
-        rebuilds (the CLI ``--backend`` flag); the recorded-backend
-        mismatch check runs against the rewritten config, so
-        ``strict_backend`` still catches the change.
+        If ``checkpoint_path`` exists the session resumes from it (a
+        corrupt file raises :class:`CheckpointError`; callers choose
+        their own fallback); otherwise it opens fresh.
         """
-        if checkpoint_every > 0 and checkpoint_path is None:
-            checkpoint_path = path
-        state = load_checkpoint(path)
-        if backend_override is not None:
-            state["session"]["scenario"]["localizer_config"][
-                "backend"
-            ] = backend_override
-        session = cls.from_state(
-            state,
+        if self.resumable:
+            return self._resume(tracer, metrics, ledger)
+        return self._fresh(tracer, metrics, ledger)
+
+    def _fresh(self, tracer, metrics, ledger) -> LocalizerSession:
+        scenario = self.scenario
+        seed = self.seed
+        source = None
+        if self.stream_path is not None:
+            # An explicit scenario may replay a prefix of the stream; the
+            # session checks the stream holds the steps it asks for.
+            source = FileReplaySource(
+                self.stream_path, allow_partial=scenario is not None
+            )
+            if scenario is None:
+                scenario = scenario_from_dict(source.header.scenario)
+            if seed is None:
+                seed = source.header.seed
+        elif scenario is None:
+            raise ValueError(
+                f"nothing to open: the spec names no scenario or stream and "
+                f"has no checkpoint at {self.checkpoint_path}"
+            )
+        return LocalizerSession(
+            with_config(
+                scenario, backend=self.backend, n_particles=self.n_particles
+            ),
+            seed=seed if seed is not None else 0,
+            fusion_policy=self.fusion_policy,
+            snapshot_steps=self.snapshot_steps,
             tracer=tracer,
             metrics=metrics,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
+            run_index=self.run_index,
+            checkpoint_every=self.checkpoint_every,
+            checkpoint_path=self.checkpoint_path,
             ledger=ledger,
-            flight_path=flight_path,
-            strict_backend=strict_backend,
-            stream_path=stream_path,
+            manifest_name=self.manifest_name,
+            flight_path=self.flight_path,
+            source=source,
+            record_path=self.record_path,
+            record_stream_id=self.record_stream_id,
         )
-        session.tracer.emit("restore", step=session.step_index, path=str(path))
+
+    def _resume(self, tracer, metrics, ledger) -> LocalizerSession:
+        state = load_checkpoint(self.checkpoint_path)
+        session = LocalizerSession.from_state(
+            state, spec=self, tracer=tracer, metrics=metrics, ledger=ledger
+        )
+        session.tracer.emit(
+            "restore", step=session.step_index, path=self.checkpoint_path
+        )
         if session.metrics.enabled:
             session.metrics.counter("checkpoint.restores").inc()
         return session

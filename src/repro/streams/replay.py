@@ -1,12 +1,13 @@
 """Replay helpers: build a live session from a recorded stream.
 
-:func:`open_replay_session` is the one-stop entry the CLI and tests use:
-it reads a stream header, rebuilds the scenario it describes, and wires a
-:class:`~repro.streams.source.FileReplaySource` into a fresh
-:class:`~repro.sim.session.LocalizerSession`.  Replaying with the
-header's own seed and scenario reproduces the recorded live run bitwise
-(same transport/filter RNG streams, same faults); overrides let callers
-study the same canned measurements under different conditions:
+:func:`open_replay_session` is the library shorthand for opening a
+stream :class:`~repro.sim.session.SessionSpec`: the stream header
+supplies the scenario and seed, and a
+:class:`~repro.streams.source.FileReplaySource` feeds the session.
+Replaying with the header's own seed and scenario reproduces the recorded
+live run bitwise (same transport/filter RNG streams, same faults);
+overrides let callers study the same canned measurements under different
+conditions:
 
 * ``faults=`` injects a *different* schedule over the recorded stream
   (``no_faults=True`` strips the recorded one);
@@ -48,12 +49,8 @@ def read_header(path) -> StreamHeader:
     return parse_header_line(line)
 
 
-def scenario_from_header(
-    header,
-    faults: Any = ...,
-    backend: Optional[str] = None,
-):
-    """Rebuild the header's scenario, with optional fault/backend overrides.
+def scenario_from_header(header, faults: Any = ...):
+    """Rebuild the header's scenario, optionally with another fault schedule.
 
     ``faults`` uses ``...`` (Ellipsis) as the "keep the recorded schedule"
     sentinel, because ``None`` already means "strip faults".
@@ -63,13 +60,6 @@ def scenario_from_header(
     scenario = scenario_from_dict(header.scenario)
     if faults is not ...:
         scenario = scenario.with_faults(faults)
-    if backend is not None:
-        scenario = dataclasses.replace(
-            scenario,
-            localizer_config=dataclasses.replace(
-                scenario.localizer_config, backend=backend
-            ),
-        )
     return scenario
 
 
@@ -80,28 +70,37 @@ def open_replay_session(
     faults: Any = ...,
     backend: Optional[str] = None,
     allow_partial: bool = False,
-    **session_kwargs,
+    tracer=None,
+    metrics=None,
+    ledger=None,
+    **spec_fields,
 ):
-    """A :class:`LocalizerSession` driven by a recorded stream file.
+    """Open ``SessionSpec(stream_path=path, seed=..., backend=..., **spec_fields)``.
 
-    With no overrides the session reproduces the recorded live run
-    bitwise.  ``session_kwargs`` pass through to the session constructor
-    (tracer, metrics, ledger, checkpointing, ...).
+    With no overrides the session reproduces the recorded run bitwise.
+    ``faults`` (replace the recorded schedule) and ``allow_partial``
+    (replay a truncated recording) hand the spec an explicit scenario.
     """
-    from repro.sim.session import LocalizerSession
+    from repro.sim.session import SessionSpec
 
-    source = FileReplaySource(path, pacer=pacer, allow_partial=allow_partial)
-    scenario = scenario_from_header(source.header, faults=faults, backend=backend)
-    if allow_partial and source.n_time_steps < scenario.n_time_steps:
-        scenario = dataclasses.replace(
-            scenario, n_time_steps=source.n_time_steps
-        )
-    return LocalizerSession(
-        scenario,
-        seed=seed if seed is not None else source.header.seed,
-        source=source,
-        **session_kwargs,
+    scenario = None
+    if faults is not ... or allow_partial:
+        source = FileReplaySource(path, allow_partial=allow_partial)
+        scenario = scenario_from_header(source.header, faults=faults)
+        if source.n_time_steps < scenario.n_time_steps:
+            scenario = dataclasses.replace(
+                scenario, n_time_steps=source.n_time_steps
+            )
+    spec = SessionSpec(
+        scenario=scenario,
+        stream_path=path,
+        seed=seed,
+        backend=backend,
+        **spec_fields,
     )
+    session = spec.open(tracer, metrics, ledger)
+    session.source.pacer = pacer
+    return session
 
 
 def serve_stream(

@@ -466,7 +466,7 @@ class TestCheckpointBackend:
     def test_session_strict_backend_errors(self, tmp_path, monkeypatch):
         from repro.sim.scenarios import scenario_a
         from repro.sim.serialization import CheckpointError
-        from repro.sim.session import LocalizerSession
+        from repro.sim.session import LocalizerSession, SessionSpec
 
         # The mismatch below relies on the session resolving "default";
         # neutralize any REPRO_BACKEND override from the environment.
@@ -477,19 +477,15 @@ class TestCheckpointBackend:
         path = tmp_path / "run.ckpt.json"
         session.save_checkpoint(path)
         # Same backend: strict restore is fine.
-        resumed = LocalizerSession.resume_from_checkpoint(
-            path, strict_backend=True
-        )
+        resumed = SessionSpec(checkpoint_path=path, strict_backend=True).open()
         assert resumed.step_index == 1
         # Different backend: strict restore refuses.
         with pytest.raises(CheckpointError, match="backend"):
-            LocalizerSession.resume_from_checkpoint(
-                path, strict_backend=True, backend_override="fast"
-            )
+            SessionSpec(
+                checkpoint_path=path, strict_backend=True, backend="fast"
+            ).open()
         # Non-strict restore under a new backend proceeds (with a warning).
-        resumed = LocalizerSession.resume_from_checkpoint(
-            path, backend_override="fast"
-        )
+        resumed = SessionSpec(checkpoint_path=path, backend="fast").open()
         assert resumed.localizer.backend.name == "fast"
         resumed.run()
 

@@ -105,11 +105,11 @@ class TestEndToEnd:
     def test_tracks_from_localizer_run(self):
         """Track association over a real two-source run: exactly two
         long-lived confirmed tracks, near the true sources."""
-        from repro.sim.runner import SimulationRunner
+        from repro.sim.runner import run_scenario
         from repro.sim.scenarios import scenario_a
 
         scenario = scenario_a(strengths=(50.0, 50.0), n_time_steps=12)
-        result = SimulationRunner(scenario, seed=3).run()
+        result = run_scenario(scenario, seed=3)
         assoc = TrackAssociator(gate=12.0, confirm_after=3, max_coast=2)
         for t, record in enumerate(result.steps):
             assoc.update(t, record.estimates)

@@ -50,7 +50,7 @@ from repro.sim.serialization import (
     scenario_to_dict,
     step_record_to_dict,
 )
-from repro.sim.session import LocalizerSession
+from repro.sim.session import LocalizerSession, SessionSpec
 
 
 def batch(time_step=0, n=4, cpm=100.0):
@@ -429,7 +429,7 @@ class TestSessionIntegration:
             partial.step()
         path = tmp_path / "faulty.ckpt.json"
         partial.save_checkpoint(path)
-        restored = LocalizerSession.resume_from_checkpoint(path)
+        restored = SessionSpec(checkpoint_path=path).open()
         assert restored.injector is not None
         assert restored.injector.injected == partial.injector.injected
         restored.run()

@@ -15,7 +15,7 @@ from repro.core.fusion import InfiniteFusionRange
 from repro.eval.aggregate import mean_over_steps
 from repro.network.link import LossyLink, PerfectLink, UniformLatencyLink
 from repro.network.transport import OutOfOrderDelivery, ShuffledDelivery
-from repro.sim.runner import SimulationRunner, run_scenario
+from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a, scenario_a_three_sources
 
 
@@ -73,9 +73,9 @@ class TestFusionRangeMatters:
         # clusters; at least one source ends badly localized.
         scenario = small_a(strengths=(50.0, 50.0))
         with_fr = run_scenario(scenario, seed=4)
-        without_fr = SimulationRunner(
+        without_fr = run_scenario(
             scenario, seed=4, fusion_policy=InfiniteFusionRange()
-        ).run()
+        )
         worst_with = max(
             mean_over_steps(with_fr.error_series(i), 8) for i in range(2)
         )

@@ -16,7 +16,7 @@ from repro.obs.report import (
 )
 from repro.obs.sinks import InMemorySink
 from repro.obs.trace import Tracer
-from repro.sim.runner import SimulationRunner, run_scenario
+from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a
 
 
@@ -49,12 +49,6 @@ class TestRunnerDiagnosticsIntegration:
         first_true = flags.index(True) if True in flags else len(flags)
         assert all(flags[first_true:])
         assert result.converged_at == (first_true if True in flags else None)
-
-    def test_health_can_be_disabled(self):
-        scenario = scenario_a(strengths=(50.0, 50.0), n_time_steps=2)
-        result = SimulationRunner(scenario, seed=1, record_health=False).run()
-        assert all(s.health is None for s in result.steps)
-        assert all(v != v for v in result.ess_series())  # NaNs
 
     def test_step_events_carry_health_and_convergence(self, traced_run):
         result, sink, _registry = traced_run

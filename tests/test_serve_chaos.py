@@ -170,3 +170,58 @@ def test_recovery_emits_resurrect_metrics_and_traces(tmp_path):
     ]
     assert resurrects[0]["session_id"] == "a1"
     assert resurrects[0]["resumed"] is True  # came back from a checkpoint
+
+
+@pytest.mark.parametrize(
+    "bad_spec",
+    [
+        {"seed": 1},  # neither scenario nor stream_path
+        {"stream_path": str(GOLDEN["a1"]), "checkpoint_evry": 5},  # typo
+        {"stream_path": str(GOLDEN["a1"]), "seed": "1"},  # wrong type
+        "not-a-spec",
+    ],
+)
+def test_malformed_spec_is_a_400_that_spares_the_shard(tmp_path, bad_spec):
+    """A client error never reaches the shard: no kill, no 503."""
+    from repro.serve import Rejected
+    from repro.sim.serialization import scenario_to_dict
+    from tests.test_session_checkpoint import tiny_scenario
+
+    both = {
+        "scenario": scenario_to_dict(tiny_scenario()),
+        "stream_path": str(GOLDEN["a1"]),
+    }
+
+    async def main():
+        service = LocalizationService(chaos_config(tmp_path))
+        try:
+            outcome = await service.submit(
+                "t1", "live", {"scenario": scenario_to_dict(tiny_scenario())}
+            )
+            assert isinstance(outcome, Admitted)
+            await service.advance("live", 1)
+            (pid_before,) = await service.shard_pids()
+            active = service.admission.active_sessions
+            rejected = [
+                await service.submit("t2", "bad", bad_spec),
+                await service.submit("t2", "both", both),
+            ]
+            (pid_after,) = await service.shard_pids()
+            await service.advance("live", 1)
+            return (
+                rejected, pid_before, pid_after, active,
+                service.admission.active_sessions,
+                service.sessions["live"].step_index,
+            )
+        finally:
+            await service.close()
+
+    rejected, pid_before, pid_after, active, active_after, step = asyncio.run(
+        main()
+    )
+    for outcome in rejected:
+        assert isinstance(outcome, Rejected)
+        assert (outcome.reason, outcome.status) == ("bad_spec", 400)
+    assert pid_after == pid_before
+    assert active_after == active
+    assert step == 2

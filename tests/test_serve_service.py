@@ -248,8 +248,8 @@ class TestDegradation:
 
         handle, result, manifest = run(main())
         assert handle.degrade_level == 1
-        assert handle.spec["backend_override"] == "fast"
-        assert handle.spec["checkpoint_every"] == 4  # 1 * factor
+        assert handle.spec.backend == "fast"
+        assert handle.spec.checkpoint_every == 4  # 1 * factor
         assert result["finished"]
         # The transition is traced and lands in the service manifest.
         events = [r for r in sink.records if r["type"] == "service_degrade"]
@@ -272,7 +272,7 @@ class TestDegradation:
         handle = run(main())
         assert handle.degrade_level == 2
         original = tiny_scenario().localizer_config.n_particles
-        assert handle.spec["n_particles"] == max(1, original // 2)
+        assert handle.spec.n_particles == max(1, original // 2)
 
 
 class TestHealthAndMetrics:

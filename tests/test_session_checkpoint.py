@@ -19,7 +19,7 @@ from repro.obs.sinks import InMemorySink
 from repro.obs.trace import Tracer
 from repro.physics.source import RadiationSource
 from repro.sensors.placement import grid_placement
-from repro.sim.runner import SimulationRunner
+from repro.sim.runner import run_scenario
 from repro.sim.scenario import Scenario
 from repro.sim.scenarios import scenario_a, scenario_c, scenario_c_fusion_policy
 from repro.sim.serialization import (
@@ -28,7 +28,7 @@ from repro.sim.serialization import (
     save_checkpoint,
     step_record_to_dict,
 )
-from repro.sim.session import LocalizerSession
+from repro.sim.session import LocalizerSession, SessionSpec
 
 
 def tiny_scenario(**kwargs) -> Scenario:
@@ -63,7 +63,7 @@ def comparable(result):
 class TestSessionBasics:
     def test_session_matches_runner(self):
         scenario = tiny_scenario()
-        via_runner = SimulationRunner(scenario, seed=5).run()
+        via_runner = run_scenario(scenario, seed=5)
         via_session = LocalizerSession(scenario, seed=5).run()
         assert comparable(via_runner) == comparable(via_session)
 
@@ -102,7 +102,7 @@ def resume_parity_case(scenario, fusion_policy, seed, split, tmp_path):
         session.step()
     path = tmp_path / f"split{split}.ckpt.json"
     session.save_checkpoint(path)
-    resumed = LocalizerSession.resume_from_checkpoint(path).run()
+    resumed = SessionSpec(checkpoint_path=path).open().run()
     assert comparable(full) == comparable(resumed)
 
 
@@ -120,14 +120,14 @@ class TestResumeParity:
 
     def test_tiny_with_snapshots_and_convergence(self, tmp_path):
         scenario = tiny_scenario(n_time_steps=6)
-        kwargs = dict(seed=11, snapshot_steps=(1, 4), convergence_checks=2)
+        kwargs = dict(seed=11, snapshot_steps=(1, 4))
         full = LocalizerSession(scenario, **kwargs).run()
         session = LocalizerSession(scenario, **kwargs)
         for _ in range(3):
             session.step()
         path = tmp_path / "mid.ckpt.json"
         session.save_checkpoint(path)
-        resumed = LocalizerSession.resume_from_checkpoint(path).run()
+        resumed = SessionSpec(checkpoint_path=path).open().run()
         assert comparable(full) == comparable(resumed)
         assert [s.converged for s in full.steps] == [
             s.converged for s in resumed.steps
@@ -144,9 +144,9 @@ class TestResumeParity:
         session.save_checkpoint(path)
         script = (
             "import json, sys\n"
-            "from repro.sim.session import LocalizerSession\n"
+            "from repro.sim.session import SessionSpec\n"
             "from repro.sim.serialization import step_record_to_dict\n"
-            "result = LocalizerSession.resume_from_checkpoint(sys.argv[1]).run()\n"
+            "result = SessionSpec(checkpoint_path=sys.argv[1]).open().run()\n"
             "docs = [step_record_to_dict(s) for s in result.steps]\n"
             "for d in docs: d.pop('mean_iteration_seconds')\n"
             "print(json.dumps(docs))\n"
@@ -177,7 +177,7 @@ class TestAutoCheckpoint:
         assert path.exists()
         state = load_checkpoint(path)
         assert state["session"]["step_index"] == 2
-        resumed = LocalizerSession.resume_from_checkpoint(path).run()
+        resumed = SessionSpec(checkpoint_path=path).open().run()
         assert comparable(full) == comparable(resumed)
 
     def test_obs_events_and_counters(self, tmp_path):
@@ -199,8 +199,8 @@ class TestAutoCheckpoint:
 
         sink2 = InMemorySink()
         registry2 = MetricsRegistry()
-        LocalizerSession.resume_from_checkpoint(
-            path, tracer=Tracer(sink2), metrics=registry2
+        SessionSpec(checkpoint_path=path).open(
+            tracer=Tracer(sink2), metrics=registry2
         ).run()
         assert [r["type"] for r in sink2.records if r["type"] == "restore"] == [
             "restore"

@@ -7,7 +7,7 @@ from repro.network.transport import OutOfOrderDelivery
 from repro.physics.source import RadiationSource
 from repro.sensors.placement import grid_placement
 from repro.sim.rng import seeded_rng, spawn_rngs
-from repro.sim.runner import SimulationRunner, run_repeated, run_scenario
+from repro.sim.runner import run_repeated, run_scenario
 from repro.sim.scenario import Scenario
 from repro.sim.scenarios import (
     SCENARIO_A3_SOURCES,
@@ -167,8 +167,7 @@ class TestRunner:
         assert result.error_series(0)[-1] < 10.0
 
     def test_snapshots_captured_on_request(self):
-        runner = SimulationRunner(tiny_scenario(), seed=0, snapshot_steps=(1, 3))
-        result = runner.run()
+        result = run_scenario(tiny_scenario(), seed=0, snapshot_steps=(1, 3))
         assert result.steps[1].snapshot is not None
         assert result.steps[3].snapshot is not None
         assert result.steps[0].snapshot is None

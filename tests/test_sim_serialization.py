@@ -484,8 +484,8 @@ class TestCheckpointCorruption:
 
     def test_resume_surfaces_typed_error(self, checkpoint):
         """The session-level entry point propagates CheckpointError."""
-        from repro.sim.session import LocalizerSession
+        from repro.sim.session import SessionSpec
 
         checkpoint.write_text("{not json")
         with pytest.raises(CheckpointError):
-            LocalizerSession.resume_from_checkpoint(checkpoint)
+            SessionSpec(checkpoint_path=checkpoint).open()

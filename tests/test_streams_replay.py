@@ -14,7 +14,7 @@ import pytest
 
 from repro.faults.models import DropoutWindow, SpoofedCounts
 from repro.faults.schedule import FaultSchedule
-from repro.sim.session import LocalizerSession
+from repro.sim.session import LocalizerSession, SessionSpec
 from repro.streams import (
     FileReplaySource,
     SocketReplaySource,
@@ -97,7 +97,7 @@ class TestRecordReplayParity:
         for _ in range(3):
             session.step()
         del session
-        resumed = LocalizerSession.resume_from_checkpoint(ckpt)
+        resumed = SessionSpec(checkpoint_path=ckpt).open()
         assert resumed.step_index == 2
         result = resumed.run()
         assert comparable(result) == comparable(live)
@@ -115,9 +115,7 @@ class TestRecordReplayParity:
         moved.parent.mkdir()
         moved.write_bytes(path.read_bytes())
         path.unlink()
-        resumed = LocalizerSession.resume_from_checkpoint(
-            ckpt, stream_path=moved
-        )
+        resumed = SessionSpec(checkpoint_path=ckpt, stream_path=moved).open()
         assert comparable(resumed.run()) == comparable(live)
 
     def test_resume_rejects_tampered_stream(self, tmp_path):
@@ -135,7 +133,7 @@ class TestRecordReplayParity:
         lines[1] = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StreamFormatError, match="sha256"):
-            LocalizerSession.resume_from_checkpoint(ckpt)
+            SessionSpec(checkpoint_path=ckpt).open()
 
     def test_socket_replay_parity(self, tmp_path):
         path, live = record_run(tmp_path)

@@ -23,7 +23,7 @@ from repro.physics.source import RadiationSource
 from repro.sensors.measurement import Measurement
 from repro.sensors.placement import grid_placement
 from repro.sim.scenario import Scenario
-from repro.sim.session import LocalizerSession
+from repro.sim.session import LocalizerSession, SessionSpec
 
 
 def batches(n_steps=4, per_step=5):
@@ -185,7 +185,7 @@ class TestSessionStreamingEdgeCases:
         session.step()
         path = tmp_path / "dead.ckpt.json"
         session.save_checkpoint(path)
-        restored = LocalizerSession.resume_from_checkpoint(path)
+        restored = SessionSpec(checkpoint_path=path).open()
         assert restored.scenario.sensors[2].failed
         result = restored.run()
         assert all(r.n_measurements <= 15 for r in result.steps[2:-1])
@@ -230,7 +230,7 @@ class TestSessionStreamingEdgeCases:
         assert result.steps[-1].mean_iteration_seconds == 0.0
 
     def test_tail_fold_matches_legacy_runner(self):
-        from repro.sim.runner import SimulationRunner
+        from repro.sim.runner import run_scenario
         from repro.sim.serialization import step_record_to_dict
 
         scenario = tiny_scenario(
@@ -238,7 +238,7 @@ class TestSessionStreamingEdgeCases:
             delivery=OutOfOrderDelivery(UniformLatencyLink(1.5, 3.5)),
         )
         a = LocalizerSession(scenario, seed=5).run()
-        b = SimulationRunner(scenario, seed=5).run()
+        b = run_scenario(scenario, seed=5)
 
         def comparable(result):
             docs = [step_record_to_dict(s) for s in result.steps]
