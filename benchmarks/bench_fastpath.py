@@ -39,13 +39,6 @@ TIMED_ITERATIONS = 12
 #: still clear 2x).
 BACKEND_SPEEDUP_BAR = 8.5
 
-#: The batched candidate-generation kernel (the stage every disc query
-#: -- selection, estimator support, mean-shift gather -- runs first)
-#: must beat the PR 7 backend's per-center scan by at least this much
-#: across the selection and support footprints (the selection-phase
-#: acceptance criterion; see :func:`_pr7_candidate_scan`).
-DISC_QUERY_SPEEDUP_BAR = 3.0
-
 #: Estimates from the truncated kernel must land within this distance of
 #: the dense-kernel reference (the downstream merge radius is the
 #: bandwidth, 8.0 in scenario B; drift is typically < 0.01).
@@ -125,42 +118,6 @@ def _extraction_parity(localizer, config, tolerance=PARITY_TOLERANCE):
     return deltas
 
 
-def _pr7_candidate_scan(grid, x, y, radius):
-    """The PR 7 fast backend's per-center candidate scan, preserved.
-
-    Before the batched CSR kernels landed, every disc query -- fusion
-    selection, estimator support, mean-shift gather -- generated its
-    candidate set with this per-column ``searchsorted`` loop, one Python
-    call per center (``query_candidates`` at git 28771f2).  It reads the
-    same index internals as the live kernels, so timing it against
-    ``query_candidates_batch`` on the same population gives the
-    machine-portable ``disc_query_speedup`` ratio the CI gate tracks.
-    """
-    inv = 1.0 / grid.cell_size
-    cx_lo = int(np.floor((x - radius - grid.x0) * inv))
-    cx_hi = int(np.floor((x + radius - grid.x0) * inv))
-    cy_lo = int(np.floor((y - radius - grid.y0) * inv))
-    cy_hi = int(np.floor((y + radius - grid.y0) * inv))
-    if cx_hi < 0 or cy_hi < 0 or cx_lo >= grid.n_cols or cy_lo >= grid.n_rows:
-        return np.empty(0, dtype=np.int64)
-    cx_lo = max(cx_lo, 0)
-    cy_lo = max(cy_lo, 0)
-    cx_hi = min(cx_hi, grid.n_cols - 1)
-    cy_hi = min(cy_hi, grid.n_rows - 1)
-    sorted_cids = grid._sorted_cids
-    order = grid._order
-    slices = []
-    for cx in range(cx_lo, cx_hi + 1):
-        base = cx * grid.n_rows
-        lo = np.searchsorted(sorted_cids, base + cy_lo, side="left")
-        hi = np.searchsorted(sorted_cids, base + cy_hi, side="right")
-        if hi > lo:
-            slices.append(order[lo:hi])
-    if not slices:
-        return np.empty(0, dtype=np.int64)
-    return slices[0] if len(slices) == 1 else np.concatenate(slices)
-
-
 def _time_ms(fn, repeats=5):
     """Best-of-N wall time of ``fn`` in milliseconds."""
     best = float("inf")
@@ -235,79 +192,14 @@ def _kernel_timings(localizer, config):
     def reference_prefix_sum():
         reference.prefix_sum(weights, total)
 
-    # Candidate generation for the disc-query/selection phase: one
-    # batched CSR query per footprint vs the PR 7 per-center scan on the
-    # same workloads -- the selection footprint (every sensor at fusion
-    # range) and the estimator's support footprint (mean-shift seeds at
-    # one bandwidth).  Large-radius gathers are concatenate-bound on
-    # both sides, so these small/mid-radius footprints are where the
-    # per-call Python overhead the batching removes actually lives.
-    seed_x = seeds[:, 0]
-    seed_y = seeds[:, 1]
-
-    def batched_disc_query():
-        grid.query_candidates_batch(
-            sensor_x, sensor_y, config.fusion_range, pool=backend.scratch
-        )
-        grid.query_candidates_batch(
-            seed_x, seed_y, config.bandwidth, pool=backend.scratch
-        )
-
-    def scalar_disc_query():
-        for x, y in zip(sensor_x, sensor_y):
-            _pr7_candidate_scan(grid, float(x), float(y), config.fusion_range)
-        for x, y in zip(seed_x, seed_y):
-            _pr7_candidate_scan(grid, float(x), float(y), config.bandwidth)
-
     return {
         "weight_batch_fused_ms": _time_ms(fused_batch),
         "weight_batch_reference_ms": _time_ms(reference_batch),
         "meanshift_backend_ms": _time_ms(backend_meanshift),
         "meanshift_truncated_ms": _time_ms(truncated_meanshift),
-        "disc_query_batched_ms": _time_ms(batched_disc_query),
-        "disc_query_scalar_ms": _time_ms(scalar_disc_query),
         "prefix_sum_fast_ms": _time_ms(fast_prefix_sum),
         "prefix_sum_reference_ms": _time_ms(reference_prefix_sum),
     }
-
-
-def _disc_query_ratio(localizer, config):
-    """Batched-vs-PR-7 candidate-generation ratio on the final population.
-
-    Machine-portable (both sides run on the same machine back to back),
-    so CI can gate it against a committed floor without flaking on
-    absolute wall-clock.  Same comparison as :func:`_kernel_timings`:
-    the batched CSR kernel vs :func:`_pr7_candidate_scan` over the
-    selection and support footprints.
-    """
-    particles = localizer.particles
-    grid = particles.grid(config.grid_cell())
-    sensors = scenario_b(n_particles=len(particles)).sensors
-    sensor_x = np.array([s.x for s in sensors])
-    sensor_y = np.array([s.y for s in sensors])
-    seeds = select_seeds(
-        particles.positions,
-        particles.weights,
-        config.meanshift_seeds,
-        np.random.default_rng(PARITY_SEED),
-    )
-    seed_x = seeds[:, 0]
-    seed_y = seeds[:, 1]
-    pool = localizer.backend.scratch
-
-    def batched():
-        grid.query_candidates_batch(
-            sensor_x, sensor_y, config.fusion_range, pool=pool
-        )
-        grid.query_candidates_batch(seed_x, seed_y, config.bandwidth, pool=pool)
-
-    def per_center_scan():
-        for x, y in zip(sensor_x, sensor_y):
-            _pr7_candidate_scan(grid, float(x), float(y), config.fusion_range)
-        for x, y in zip(seed_x, seed_y):
-            _pr7_candidate_scan(grid, float(x), float(y), config.bandwidth)
-
-    return _time_ms(per_center_scan) / _time_ms(batched)
 
 
 def test_fastpath_speedup_table1(report, benchmark):
@@ -381,9 +273,6 @@ def test_fastpath_speedup_table1(report, benchmark):
         max(deltas) <= PARITY_TOLERANCE
         and max(backend_deltas) <= BACKEND_PARITY_TOLERANCE
     )
-    disc_query_speedup = (
-        kernels["disc_query_scalar_ms"] / kernels["disc_query_batched_ms"]
-    )
     write_bench_json(
         "fastpath",
         metrics={
@@ -392,7 +281,6 @@ def test_fastpath_speedup_table1(report, benchmark):
             "backend_ms_per_iteration": backend_seconds * 1000,
             "speedup": speedup,
             "backend_speedup": backend_speedup,
-            "disc_query_speedup": disc_query_speedup,
             "parity_ok": parity_ok,
         },
         config={
@@ -424,11 +312,6 @@ def test_fastpath_speedup_table1(report, benchmark):
         f"backend extraction deviates {max(backend_deltas):.4f} from the "
         f"float64 reference (budget {BACKEND_PARITY_TOLERANCE})"
     )
-    assert disc_query_speedup >= DISC_QUERY_SPEEDUP_BAR, (
-        f"batched candidate generation is only {disc_query_speedup:.2f}x "
-        f"the PR 7 per-center scan ({kernels['disc_query_batched_ms']:.3f} "
-        f"vs {kernels['disc_query_scalar_ms']:.3f} ms/call)"
-    )
 
 
 def test_fastpath_smoke_parity(report, benchmark):
@@ -456,15 +339,10 @@ def test_fastpath_smoke_parity(report, benchmark):
         backend_config = scenario_config.with_overrides(backend="fast")
         backend_seconds, backend_localizer = _run(backend_config, n_particles, 4)
         backend_deltas = _extraction_parity(backend_localizer, backend_config)
-        disc_ratio = _disc_query_ratio(backend_localizer, backend_config)
-        return (
-            ref_seconds, fast_seconds, deltas,
-            backend_seconds, backend_deltas, disc_ratio,
-        )
+        return ref_seconds, fast_seconds, deltas, backend_seconds, backend_deltas
 
     (
-        ref_seconds, fast_seconds, deltas,
-        backend_seconds, backend_deltas, disc_ratio,
+        ref_seconds, fast_seconds, deltas, backend_seconds, backend_deltas,
     ) = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = ref_seconds / backend_seconds
     report.add(
@@ -473,8 +351,7 @@ def test_fastpath_smoke_parity(report, benchmark):
         f"{max(backend_deltas):.4f} (backend); "
         f"ref {ref_seconds * 1000:.1f} ms/iter, "
         f"fast {fast_seconds * 1000:.1f} ms/iter, "
-        f"backend {backend_seconds * 1000:.1f} ms/iter, "
-        f"disc query {disc_ratio:.2f}x batched vs scalar "
+        f"backend {backend_seconds * 1000:.1f} ms/iter "
         "(wall-clock informational only)"
     )
     parity_ok = float(
@@ -486,7 +363,6 @@ def test_fastpath_smoke_parity(report, benchmark):
         metrics={
             "parity_ok": parity_ok,
             "speedup": speedup,
-            "disc_query_speedup": disc_ratio,
         },
         config={
             "mode": "smoke",

@@ -4,10 +4,10 @@ Profiling the Table-1 cell (15000 particles, N = 196) shows the remaining
 wall is not numpy itself but *how* the kernels are driven: one Python
 round-trip per sensor in the weight path, ragged per-seed gathers and
 ``np.repeat`` copies in the truncated mean-shift, and a fresh temporary
-for every intermediate array.  An :class:`ArrayBackend` owns those four
+for every intermediate array.  An :class:`ArrayBackend` owns those
 kernels -- fused Poisson log-likelihood over a whole step's delivered
-measurements, disc-query gather, the segmented mean-shift reduction, and
-the resampling prefix-sum -- so the driver code (``weighting``,
+measurements, the segmented mean-shift reduction, and the resampling
+prefix-sum -- so the driver code (``weighting``,
 ``resampling``, ``estimator``, ``localizer``) stays backend-agnostic:
 
 * :class:`NumpyBackend` (``"default"``) delegates to the float64
@@ -285,79 +285,6 @@ class ArrayBackend:
         cumulative = np.cumsum(weights / total)
         cumulative[-1] = 1.0
         return cumulative
-
-    # --- spatial queries -------------------------------------------------------
-
-    def multi_candidates_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched candidate query over many centers: CSR ``(indices, offsets)``.
-
-        Row ``i`` -- ``indices[offsets[i]:offsets[i+1]]`` -- holds the
-        grid candidates for center ``i`` (cells overlapping the disc's
-        bounding box, no distance test).  ``radius`` is a scalar or
-        per-center array.  The reference provider loops the scalar grid
-        query, so each row *is* the scalar result by construction;
-        accelerated providers answer the whole batch with one vectorized
-        ``searchsorted`` over the flattened (center, column) key set and
-        are array-equality-tested against this.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        radii = np.asarray(radius, dtype=float)
-        if radii.ndim == 0:
-            radii = np.broadcast_to(radii, xs.shape)
-        offsets = np.zeros(len(xs) + 1, dtype=np.int64)
-        rows = []
-        for i in range(len(xs)):
-            row = grid.query_candidates(float(xs[i]), float(ys[i]), float(radii[i]))
-            rows.append(row)
-            offsets[i + 1] = offsets[i] + len(row)
-        indices = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-        return indices, offsets
-
-    def multi_disc_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        sort_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched exact disc query: CSR rows bit-identical to ``query_disc``.
-
-        Each row carries the exact float64 distance test and ascending
-        order of the scalar path, so batched fusion-range selection and
-        support queries keep the brute-force contract.  The reference
-        provider loops ``grid.query_disc``; accelerated providers batch
-        the whole thing and route the large buffers through their scratch
-        pools.
-
-        ``sort_rows=False`` relaxes the per-row ordering to *unspecified*
-        (contents still exact); kernel-gather callers that reduce over
-        each row use it to skip the ordering pass.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        radii = np.asarray(radius, dtype=float)
-        if radii.ndim == 0:
-            radii = np.broadcast_to(radii, xs.shape)
-        offsets = np.zeros(len(xs) + 1, dtype=np.int64)
-        rows = []
-        for i in range(len(xs)):
-            row = grid.query_disc(float(xs[i]), float(ys[i]), float(radii[i]))
-            rows.append(row)
-            offsets[i + 1] = offsets[i] + len(row)
-        indices = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-        return indices, offsets
 
     # --- estimation ------------------------------------------------------------
 
@@ -745,47 +672,6 @@ class FastNumpyBackend(ArrayBackend):
         cumulative[-1] = 1.0
         return cumulative
 
-    # --- spatial queries -------------------------------------------------------
-
-    def multi_candidates_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One vectorized searchsorted pass; rows array-equal to the scalar loop."""
-        return grid.query_candidates_batch(xs, ys, radius, pool=self.scratch)
-
-    #: Below this many centers the vectorized batch kernel's fixed
-    #: overhead (~40 array ops) exceeds the cost of just looping the
-    #: scalar query; mean-shift refill batches are typically 1-10 rows.
-    MIN_VECTORIZED_CENTERS = 12
-
-    def multi_disc_query(
-        self,
-        grid,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        sort_rows: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched exact disc query through the scratch pool.
-
-        The distance test stays float64 inside the grid kernel, so each
-        CSR row is bit-identical to the scalar ``query_disc`` -- batching
-        changes the driving, not the arithmetic.  Returned arrays are
-        views into pool buffers (``gq.*``): valid until the next batched
-        query on this backend.  Tiny batches (fewer than
-        ``MIN_VECTORIZED_CENTERS``) fall back to the scalar loop, whose
-        per-center cost undercuts the vectorized kernel's setup.
-        """
-        if len(np.atleast_1d(xs)) < self.MIN_VECTORIZED_CENTERS:
-            return super().multi_disc_query(grid, xs, ys, radius, sort_rows)
-        return grid.query_disc_batch(
-            xs, ys, radius, pool=self.scratch, sort_rows=sort_rows
-        )
-
     # --- mean-shift ------------------------------------------------------------
 
     def meanshift_modes(
@@ -809,7 +695,11 @@ class FastNumpyBackend(ArrayBackend):
         with the dense reference to well within the merge radius
         (parity-tested), not bitwise.
         """
-        from repro.core.meanshift import mean_shift_modes, padded_candidate_rows
+        from repro.core.meanshift import (
+            disc_rows,
+            mean_shift_modes,
+            padded_candidate_rows,
+        )
 
         bandwidth = config.bandwidth
         truncation_sigmas = config.meanshift_truncation_sigmas
@@ -845,9 +735,7 @@ class FastNumpyBackend(ArrayBackend):
         w32 = scratch.get("ms.w32", (len(particles),), np.float32)
         np.copyto(w32, weights)
 
-        idx_rows, counts, capacity = padded_candidate_rows(
-            grid, seeds, gather_radius, backend=self
-        )
+        idx_rows, counts, capacity = padded_candidate_rows(grid, seeds, gather_radius)
         shape = (n_seeds, capacity)
         px = scratch.get("ms.px", shape, np.float32)
         py = scratch.get("ms.py", shape, np.float32)
@@ -1038,11 +926,11 @@ class FastNumpyBackend(ArrayBackend):
             retire = finished | shadowed
             refill = np.nonzero(~retire & (drift_sq > row_margin_sq[rows]))[0]
             if len(refill):
-                # One batched exact-disc gather for every drifted row
-                # (same disc filter padded_candidate_rows applies) instead
-                # of a scalar query per row.  In the straggler phase the
-                # margin doubles on each re-gather so long-travelling rows
-                # stop re-querying every bandwidth moved; with many rows
+                # Re-gather every drifted row with the same exact-disc
+                # query padded_candidate_rows uses.  In the straggler
+                # phase the margin doubles on each re-gather so
+                # long-travelling rows stop re-querying every bandwidth
+                # moved; with many rows
                 # live the margin stays tight, because one wide row widens
                 # ``cols`` -- and the sweep arithmetic -- for all of them.
                 if alive <= 8:
@@ -1054,15 +942,14 @@ class FastNumpyBackend(ArrayBackend):
                     grown_margin = np.minimum(row_margin[refill] * 2, cap)
                     row_margin[refill] = grown_margin
                     row_margin_sq[refill] = grown_margin * grown_margin
-                flat, flat_offsets = self.multi_disc_query(
+                flat, lengths = disc_rows(
                     grid,
                     sx[refill].astype(np.float64),
                     sy[refill].astype(np.float64),
                     radius + row_margin[refill].astype(np.float64),
-                    sort_rows=False,
                 )
                 gathers += len(refill)
-                widest = int(np.max(flat_offsets[1:] - flat_offsets[:-1]))
+                widest = int(lengths.max())
                 regrown = widest > capacity
                 if regrown:
                     # Outgrew the row capacity: regrow every matrix (rare
@@ -1080,7 +967,6 @@ class FastNumpyBackend(ArrayBackend):
                     t1 = scratch.get("ms.t1", shape, np.float32)
                     columns = scratch.get("ms.cols", (capacity,), np.int64)
                     np.copyto(columns, np.arange(capacity))
-                lengths = flat_offsets[1:] - flat_offsets[:-1]
                 pad = columns[None, :widest] < lengths[:, None]
                 fresh = np.zeros((len(refill), widest), dtype=np.int64)
                 fresh[pad] = flat

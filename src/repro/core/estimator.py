@@ -227,26 +227,11 @@ def extract_estimates(
     uniform_mass = min(1.0, math.pi * support_radius**2 / area)
 
     # One disc query per mode, shared by the mass and strength filters
-    # (identical index set on every path).  Accelerated backends answer
-    # all modes with one batched CSR query; the grid path loops the exact
-    # scalar query; and the brute-force fallback still reuses a fresh
-    # index when one exists (bit-identical -- it only skips the O(N)
-    # scan, never changes the result).
-    if modes and use_grid and backend.accelerated:
-        grid = particles.grid(config.grid_cell())
-        before = grid.candidates_scanned
-        flat, offsets = backend.multi_disc_query(
-            grid,
-            np.array([mode.x for mode in modes], dtype=float),
-            np.array([mode.y for mode in modes], dtype=float),
-            support_radius,
-        )
-        particles.grid_queries += len(modes)
-        particles.grid_candidates += grid.candidates_scanned - before
-        support_sets = [
-            flat[offsets[i]:offsets[i + 1]] for i in range(len(modes))
-        ]
-    elif use_grid:
+    # (identical index set on every path).  The grid path loops the exact
+    # scalar query; the brute-force fallback still reuses a fresh index
+    # when one exists (bit-identical -- it only skips the O(N) scan, never
+    # changes the result).
+    if use_grid:
         support_sets = [
             particles.indices_within_grid(
                 mode.x, mode.y, support_radius, config.grid_cell()

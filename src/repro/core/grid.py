@@ -14,27 +14,19 @@ which every cell is a contiguous slice of the sort order.  Cells sharing
 a grid column are contiguous in id, so a query resolves one
 ``searchsorted`` pair per column instead of one per cell.
 
-Exact queries (:meth:`query_disc`, :meth:`query_disc_batch`) apply the
-true distance test and sort the surviving indices ascending, making the
-result *bit-identical* to the brute-force ``ParticleSet.indices_within``.
-Candidate queries (:meth:`query_candidates`,
-:meth:`query_candidates_batch`) skip both steps for callers -- like the
+The exact query (:meth:`query_disc`) applies the true distance test and
+sorts the surviving indices ascending, making the result *bit-identical*
+to the brute-force ``ParticleSet.indices_within``.  The candidate query
+(:meth:`query_candidates`) skips both steps for callers -- like the
 truncated mean-shift -- that only need a superset cheaply.
 
-Two batching axes keep the hot path out of the Python interpreter:
-
-* The batch queries answer *many centers at once*.  All (center, column)
-  pairs are flattened into one key set, resolved by a single vectorized
-  ``searchsorted`` pair, and gathered into a CSR ``(indices, offsets)``
-  result whose row ``i`` is array-equal to the scalar query for center
-  ``i``.
-* :meth:`apply_moves` maintains the index *incrementally*: when only a
-  subset of points moved (a selective resample), their rows are re-binned
-  by a sorted merge into the existing CSR order instead of re-sorting the
-  whole population.  The merged index is array-equal to a from-scratch
-  rebuild whenever the grid geometry (origin and cell-span) is unchanged;
-  otherwise ``apply_moves`` refuses and the owner falls back to a full
-  rebuild.
+:meth:`apply_moves` maintains the index *incrementally*: when only a
+subset of points moved (a selective resample), their rows are re-binned
+by a sorted merge into the existing CSR order instead of re-sorting the
+whole population.  The merged index is array-equal to a from-scratch
+rebuild whenever the grid geometry (origin and cell-span) is unchanged;
+otherwise ``apply_moves`` refuses and the owner falls back to a full
+rebuild.
 """
 
 from __future__ import annotations
@@ -44,18 +36,6 @@ from typing import Optional
 import numpy as np
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def _buffer(pool, key: str, size: int, dtype) -> np.ndarray:
-    """An exact-size scratch view from ``pool``, or a fresh array.
-
-    ``pool`` is duck-typed on :meth:`ScratchPool.get` so the grid stays
-    import-free of the backend layer; ``None`` (reference callers, tests)
-    falls back to plain allocation.
-    """
-    if pool is None:
-        return np.empty(size, dtype=dtype)
-    return pool.get(key, (int(size),), dtype)
 
 
 class SpatialGridIndex:
@@ -70,7 +50,7 @@ class SpatialGridIndex:
 
     __slots__ = (
         "xs", "ys", "cell_size", "x0", "y0", "n_cols", "n_rows",
-        "_order", "_sorted_cids", "_cids", "_sorted_keys", "_xy_csr",
+        "_order", "_sorted_cids", "_cids", "_sorted_keys",
         "queries", "candidates_scanned",
     )
 
@@ -109,13 +89,9 @@ class SpatialGridIndex:
             self._sorted_keys = self._sorted_cids * np.int64(len(xs)) + self._order
         else:  # pragma: no cover - needs a degenerate planet-sized extent
             self._sorted_keys = None
-        # CSR-ordered packed coordinates for the batched distance test,
-        # built lazily (see :meth:`_coords_csr`) and dropped whenever
-        # :meth:`apply_moves` re-bins rows.
-        self._xy_csr = None
         #: Query instrumentation (cheap int bumps; read by the localizer's
-        #: metrics path, ignored otherwise).  Every query entry point bumps
-        #: ``queries`` exactly once per center and ``candidates_scanned``
+        #: metrics path, ignored otherwise).  Every query bumps
+        #: ``queries`` exactly once and ``candidates_scanned``
         #: by the number of candidate rows it touched -- including the
         #: empty and out-of-bounds exits, which contribute zero.
         self.queries = 0
@@ -177,26 +153,9 @@ class SpatialGridIndex:
         self._sorted_cids = merged // n
         self._order = merged % n
         self._cids[dirty] = new_cids
-        self._xy_csr = None
         return True
 
-    def _coords_csr(self) -> np.ndarray:
-        """Packed ``xs + i*ys`` in CSR (sort) order, cached per revision.
-
-        One complex gather replaces two float gathers in the batched
-        distance test, and reading in CSR order keeps the access pattern
-        piecewise-sequential.  Valid exactly as long as the binning is
-        (the index keeps live references and is only coherent while the
-        coordinate arrays are unchanged); :meth:`apply_moves` drops it.
-        """
-        if self._xy_csr is None:
-            xy = np.empty(len(self.xs), dtype=np.complex128)
-            xy.real = self.xs[self._order]
-            xy.imag = self.ys[self._order]
-            self._xy_csr = xy
-        return self._xy_csr
-
-    # --- scalar queries --------------------------------------------------------
+    # --- queries ---------------------------------------------------------------
 
     def _column_ranges(self, x: float, y: float, radius: float):
         """Clamped (cx_lo, cx_hi, cy_lo, cy_hi) or ``None`` off-grid."""
@@ -241,21 +200,6 @@ class SpatialGridIndex:
         self.candidates_scanned += len(candidates)
         return candidates
 
-    def query_candidates_many(
-        self, xs: np.ndarray, ys: np.ndarray, radius: float
-    ) -> list:
-        """:meth:`query_candidates` for a batch of centers.
-
-        Returns one candidate array per center -- a thin splitter over
-        :meth:`query_candidates_batch`, so the arrays (contents *and*
-        order) match the scalar path while the work happens in one
-        vectorized pass.
-        """
-        indices, offsets = self.query_candidates_batch(xs, ys, radius)
-        return [
-            indices[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)
-        ]
-
     def query_disc(
         self,
         x: float,
@@ -284,237 +228,6 @@ class SpatialGridIndex:
             stats["candidates"] = int(len(candidates))
             stats["selected"] = int(len(inside))
         return inside
-
-    # --- batched queries -------------------------------------------------------
-
-    def _batch_cell_ranges(self, xs, ys, radius):
-        """Per-center clamped cell ranges plus the in-bounds mask."""
-        centers_x = np.asarray(xs, dtype=float)
-        centers_y = np.asarray(ys, dtype=float)
-        radii = np.asarray(radius, dtype=float)
-        if radii.ndim == 0:
-            radii = np.broadcast_to(radii, centers_x.shape)
-        if len(radii) != len(centers_x):
-            raise ValueError(
-                f"radius batch length {len(radii)} != centers {len(centers_x)}"
-            )
-        if np.any(radii < 0):
-            raise ValueError("radius must be non-negative")
-        inv = 1.0 / self.cell_size
-        cx_lo = np.floor((centers_x - radii - self.x0) * inv).astype(np.int64)
-        cx_hi = np.floor((centers_x + radii - self.x0) * inv).astype(np.int64)
-        cy_lo = np.floor((centers_y - radii - self.y0) * inv).astype(np.int64)
-        cy_hi = np.floor((centers_y + radii - self.y0) * inv).astype(np.int64)
-        in_bounds = (
-            (cx_hi >= 0)
-            & (cy_hi >= 0)
-            & (cx_lo < self.n_cols)
-            & (cy_lo < self.n_rows)
-        )
-        np.maximum(cx_lo, 0, out=cx_lo)
-        np.maximum(cy_lo, 0, out=cy_lo)
-        np.minimum(cx_hi, self.n_cols - 1, out=cx_hi)
-        np.minimum(cy_hi, self.n_rows - 1, out=cy_hi)
-        return centers_x, centers_y, radii, cx_lo, cx_hi, cy_lo, cy_hi, in_bounds
-
-    def query_candidates_batch(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        pool=None,
-    ):
-        """Batched :meth:`query_candidates`: one CSR ``(indices, offsets)``.
-
-        ``radius`` is a scalar or a per-center array.  Row ``i`` --
-        ``indices[offsets[i]:offsets[i+1]]`` -- is array-equal (contents
-        and order) to ``query_candidates(xs[i], ys[i], radius_i)``.  All
-        (center, column) pairs are flattened into one key set and resolved
-        by a single vectorized ``searchsorted`` pair; the gather walks the
-        resulting segment list with one cumulative-sum pass instead of a
-        Python loop.
-
-        ``pool`` (duck-typed on ``ScratchPool.get``) backs the
-        O(total-candidates) buffers so warm accelerated callers keep the
-        zero-allocations contract; the small O(centers x columns)
-        bookkeeping arrays are plain temporaries.
-        """
-        gather, offsets = self._candidate_positions(xs, ys, radius, pool=pool)
-        total = len(gather)
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        indices = _buffer(pool, "gq.cand", total, np.int64)
-        np.take(self._order, gather, out=indices)
-        return indices, offsets
-
-    def _candidate_positions(self, xs, ys, radius, pool=None):
-        """:meth:`query_candidates_batch` in CSR *positions*, not indices.
-
-        Returns ``(gather, offsets)`` where ``self._order[gather]`` is the
-        candidate index CSR.  The batched disc test works on positions
-        directly (one packed-coordinate gather, see :meth:`_coords_csr`)
-        and resolves positions to indices only for the survivors, so the
-        shared scan lives here and the public wrapper adds one ``take``.
-        Bumps ``queries``/``candidates_scanned`` exactly like the scalar
-        path on every exit.
-        """
-        (
-            _cx, _cy, _radii, cx_lo, cx_hi, cy_lo, cy_hi, in_bounds,
-        ) = self._batch_cell_ranges(xs, ys, radius)
-        n_centers = len(cx_lo)
-        self.queries += n_centers
-        offsets = np.zeros(n_centers + 1, dtype=np.int64)
-        if n_centers == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        span = np.where(in_bounds, cx_hi - cx_lo + 1, 0)
-        total_cols = int(span.sum())
-        if total_cols == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Flattened (center, column) key set.
-        col_center = np.repeat(np.arange(n_centers), span)
-        col_first = np.zeros(n_centers, dtype=np.int64)
-        np.cumsum(span[:-1], out=col_first[1:])
-        col_cx = (
-            np.arange(total_cols, dtype=np.int64)
-            - np.repeat(col_first, span)
-            + cx_lo[col_center]
-        )
-        bases = col_cx * self.n_rows
-        seg_lo = np.searchsorted(self._sorted_cids, bases + cy_lo[col_center], side="left")
-        seg_hi = np.searchsorted(
-            self._sorted_cids, bases + cy_hi[col_center] + 1, side="left"
-        )
-        seg_len = seg_hi - seg_lo
-        counts = np.bincount(
-            col_center, weights=seg_len, minlength=n_centers
-        ).astype(np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        self.candidates_scanned += total
-        if total == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Gather positions for every non-empty segment in one cumsum: fill
-        # with ones, then scatter each segment boundary's jump so the
-        # running sum lands on the next segment's start.
-        live = seg_len > 0
-        starts = seg_lo[live]
-        lengths = seg_len[live]
-        ends = np.cumsum(lengths)
-        gather = _buffer(pool, "gq.gather", total, np.int64)
-        gather.fill(1)
-        gather[0] = starts[0]
-        if len(starts) > 1:
-            gather[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-        np.cumsum(gather, out=gather)
-        return gather, offsets
-
-    def query_disc_batch(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        radius,
-        pool=None,
-        stats: Optional[dict] = None,
-        sort_rows: bool = True,
-    ):
-        """Batched :meth:`query_disc`: CSR rows bit-identical to the scalar loop.
-
-        Row ``i`` is array-equal to ``query_disc(xs[i], ys[i], radius_i)``
-        -- exact float64 distance test, ascending order -- so batched
-        selection keeps the brute-force contract.  ``stats`` receives the
-        aggregate ``candidates``/``selected`` totals on every exit path.
-
-        ``sort_rows=False`` keeps each row in candidate (cell-major)
-        order instead of ascending: same exact-disc *contents*, minus the
-        global key sort.  Kernel-gather callers (the mean-shift rows)
-        reduce over the row anyway, so they skip the sort -- it is the
-        single most expensive pass for large batches.
-        """
-        centers_x = np.asarray(xs, dtype=float)
-        centers_y = np.asarray(ys, dtype=float)
-        radii = np.asarray(radius, dtype=float)
-        scalar_radius = radii.ndim == 0
-        if scalar_radius:
-            radii = np.broadcast_to(radii, centers_x.shape)
-        gather, cand_offsets = self._candidate_positions(
-            centers_x, centers_y, radii, pool=pool
-        )
-        n_centers = len(cand_offsets) - 1
-        total = len(gather)
-        if total == 0:
-            if stats is not None:
-                stats["candidates"] = 0
-                stats["selected"] = 0
-            return np.empty(0, dtype=np.int64), cand_offsets
-        # Center id per candidate row: scatter a mark at each interior
-        # segment boundary (duplicates accumulate for empty centers), then
-        # integrate.  The scatter is O(centers), the integral O(total).
-        center_of = _buffer(pool, "gq.cid", total, np.int64)
-        center_of.fill(0)
-        boundaries = cand_offsets[1:-1]
-        np.add.at(center_of, boundaries[boundaries < total], 1)
-        np.cumsum(center_of, out=center_of)
-        # Exact float64 distance test, identical op-for-op to the scalar
-        # query_disc: the packed complex subtract is two float64
-        # subtractions, ``v*v`` squares each component, and the strided
-        # add is dx*dx + dy*dy in the scalar operand order -- so the
-        # inside set stays bit-identical while the candidate gather is
-        # one (CSR-sequential) pass instead of two random ones.
-        d = _buffer(pool, "gq.d", total, np.complex128)
-        np.take(self._coords_csr(), gather, out=d)
-        centers = _buffer(pool, "gq.cc", n_centers, np.complex128)
-        centers.real = centers_x
-        centers.imag = centers_y
-        dc = _buffer(pool, "gq.dc", total, np.complex128)
-        np.take(centers, center_of, out=dc)
-        np.subtract(d, dc, out=d)
-        v = d.view(np.float64)
-        np.multiply(v, v, out=v)
-        dist_sq = _buffer(pool, "gq.dist", total, np.float64)
-        np.add(v[0::2], v[1::2], out=dist_sq)
-        inside = _buffer(pool, "gq.mask", total, np.bool_)
-        if scalar_radius:
-            # One scalar threshold: no per-candidate radius gather.
-            threshold = float(radii[0]) * float(radii[0])
-            np.less_equal(dist_sq, threshold, out=inside)
-        else:
-            radius_sq = radii * radii
-            row_radius_sq = dc.view(np.float64)[:total]
-            np.take(radius_sq, center_of, out=row_radius_sq)
-            np.less_equal(dist_sq, row_radius_sq, out=inside)
-        n_selected = int(np.count_nonzero(inside))
-        if stats is not None:
-            stats["candidates"] = total
-            stats["selected"] = n_selected
-        offsets = np.zeros(n_centers + 1, dtype=np.int64)
-        if n_selected == 0:
-            return np.empty(0, dtype=np.int64), offsets
-        # Survivor-side bookkeeping: compress positions and center ids
-        # down to the selected set, then resolve positions to indices and
-        # build offsets at O(selected) instead of O(total).
-        surv_pos = _buffer(pool, "gq.spos", n_selected, np.int64)
-        np.compress(inside, gather, out=surv_pos)
-        surv_center = _buffer(pool, "gq.scid", n_selected, np.int64)
-        np.compress(inside, center_of, out=surv_center)
-        np.cumsum(
-            np.bincount(surv_center, minlength=n_centers), out=offsets[1:]
-        )
-        out = _buffer(pool, "gq.out", n_selected, np.int64)
-        np.take(self._order, surv_pos, out=out)
-        if not sort_rows:
-            # The candidate flat order is already center-major, so the
-            # compressed survivors stay aligned with ``offsets``.
-            return out, offsets
-        # One global sort of composite (center, index) keys groups the
-        # survivors center-major with each row ascending -- the same order
-        # a per-center query_disc loop would produce.
-        n = np.int64(len(self.xs))
-        keys = _buffer(pool, "gq.keys", n_selected, np.int64)
-        np.multiply(surv_center, n, out=keys)
-        np.add(keys, out, out=keys)
-        keys.sort()
-        np.mod(keys, n, out=out)
-        return out, offsets
 
     def __repr__(self) -> str:
         return (

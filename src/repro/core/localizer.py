@@ -353,23 +353,18 @@ class MultiSourceLocalizer:
         try:
             # Phase A -- admission, per reading in delivery order, against
             # the un-mutated step-start population.  Credibility, EMA and
-            # fusion ranges resolve first; the fusion-range selections for
-            # every surviving reading then go out as *one* batched disc
-            # query instead of a scalar query per measurement.
+            # fusion ranges resolve for every reading first; each surviving
+            # reading's fusion-range selection then queries that same
+            # population.
             screened: List[tuple] = []
             for m in measurements:
                 admission = self._admit(m.sensor_id, m.x, m.y, m.cpm)
                 if admission is not None:
                     screened.append((m, *admission))
 
-            selections = self._batched_selection(
-                [entry[0] for entry in screened],
-                [entry[1] for entry in screened],
-            )
             admitted: List[tuple] = []
-            for (m, fusion_range, credibility_weight), indices in zip(
-                screened, selections
-            ):
+            for m, fusion_range, credibility_weight in screened:
+                indices = self._indices_within(m.x, m.y, fusion_range)
                 self.last_touched = len(indices)
                 self.iteration += 1
                 if metrics.enabled:
@@ -544,50 +539,6 @@ class MultiSourceLocalizer:
                 x, y, radius, self.config.grid_cell()
             )
         return particles.indices_within(x, y, radius)
-
-    def _batched_selection(
-        self, measurements: Sequence[Measurement], ranges: Sequence[float]
-    ) -> List[np.ndarray]:
-        """Fusion-range selection for a whole chunk: one batched disc query.
-
-        Each returned array equals the scalar :meth:`_indices_within` for
-        that measurement (the batched kernel keeps the exact-disc,
-        ascending contract).  Falls back to per-measurement queries when
-        the grid or backend cannot batch, or any range is infinite (those
-        select everything).  The batched rows are copied into a dedicated
-        scratch buffer (``sel.flat``) so later batched queries -- the
-        extraction's gathers run between selection and the weight apply --
-        cannot clobber them.
-        """
-        if not measurements:
-            return []
-        radii = np.asarray(ranges, dtype=float)
-        if (
-            not self.config.use_grid_index
-            or not self.backend.accelerated
-            or len(measurements) < 2
-            or not np.all(np.isfinite(radii))
-        ):
-            return [
-                self._indices_within(m.x, m.y, float(r))
-                for m, r in zip(measurements, radii)
-            ]
-        particles = self.particles
-        grid = particles.grid(self.config.grid_cell())
-        before = grid.candidates_scanned
-        xs = np.array([m.x for m in measurements], dtype=float)
-        ys = np.array([m.y for m in measurements], dtype=float)
-        flat, offsets = self.backend.multi_disc_query(grid, xs, ys, radii)
-        particles.grid_queries += len(xs)
-        particles.grid_candidates += grid.candidates_scanned - before
-        if self.metrics.enabled:
-            self.metrics.histogram("backend.disc_query_batch_size").observe(
-                len(xs)
-            )
-        total = int(offsets[-1])
-        keep = self.backend.scratch.get("sel.flat", (total,), np.int64)
-        np.copyto(keep, flat)
-        return [keep[offsets[i]:offsets[i + 1]] for i in range(len(xs))]
 
     def _flush_grid_metrics(self) -> None:
         """Report grid activity since the last flush (metrics-gated)."""

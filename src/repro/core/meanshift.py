@@ -281,67 +281,64 @@ def truncated_mean_shift_modes(
     return seeds, densities
 
 
+def disc_rows(
+    grid: "SpatialGridIndex",
+    xs: np.ndarray,
+    ys: np.ndarray,
+    radius,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact disc queries for many centers: ``(flat, counts)``.
+
+    ``flat`` concatenates ``grid.query_disc(xs[i], ys[i], radius_i)`` for
+    every center in order (each row ascending) and ``counts[i]`` is row
+    ``i``'s length.  ``radius`` is a scalar or a per-center array.
+    """
+    radii = np.broadcast_to(np.asarray(radius, dtype=float), np.shape(xs))
+    rows = [
+        grid.query_disc(float(x), float(y), float(r))
+        for x, y, r in zip(xs, ys, radii)
+    ]
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return flat, counts
+
+
 def padded_candidate_rows(
     grid: "SpatialGridIndex",
     centers: np.ndarray,
     radius: float,
-    backend=None,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Gather each center's grid candidates into a padded index matrix.
+    """Gather each center's exact disc into a padded index matrix.
 
     The accelerated mean-shift backend trades the reference driver's
     ragged per-seed lists (concatenate / repeat / reduceat every sweep)
     for fixed-capacity structure-of-arrays rows: ``idx_rows`` is an
     ``(n_centers, capacity)`` int64 matrix whose row ``i`` holds center
-    ``i``'s candidate indices left-justified and zero-padded, ``counts``
-    gives the valid prefix lengths, and ``capacity`` is the smallest
-    power of two covering the largest gather (power-of-two so scratch
-    buffers keyed on the shape stabilize across steps).  Padding slots
-    point at particle 0; consumers must mask them out (the backend zeroes
-    their kernel weights).
+    ``i``'s disc indices left-justified (ascending) and zero-padded,
+    ``counts`` gives the valid prefix lengths, and ``capacity`` is the
+    smallest power of two covering the largest gather (power-of-two so
+    scratch buffers keyed on the shape stabilize across steps).  Padding
+    slots point at particle 0; consumers must mask them out (the backend
+    zeroes their kernel weights).
 
-    Unlike the reference driver's cached gathers, the grid candidates are
-    filtered to the exact disc here: the sweep arithmetic re-reads every
-    row slot dozens of times, so paying one distance test per gather to
-    shed the ~2x bounding-box overhang (and the padding it would inflate)
-    is a clear win.
-
-    ``backend``, when accelerated, answers the whole gather with one
-    batched exact-disc CSR query (``multi_disc_query``) instead of a
-    scalar query-and-filter per center; rows come out ascending instead
-    of cell-major, which only permutes the float32 row reductions.
+    Unlike the reference driver's cached candidate gathers, the rows are
+    filtered to the exact disc: the sweep arithmetic re-reads every row
+    slot dozens of times, so paying one distance test per gather to shed
+    the ~2x bounding-box overhang (and the padding it would inflate) is a
+    clear win.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if backend is not None and getattr(backend, "accelerated", False):
-        flat, offsets = backend.multi_disc_query(
-            grid, centers[:, 0], centers[:, 1], radius, sort_rows=False
-        )
-        counts = np.asarray(offsets[1:] - offsets[:-1], dtype=np.int64)
-        capacity = 1
-        largest = int(counts.max()) if len(counts) else 1
-        while capacity < max(largest, 1):
-            capacity *= 2
-        idx_rows = np.zeros((len(centers), capacity), dtype=np.int64)
-        # Left-justified scatter of the CSR payload in one shot: the flat
-        # array is already row-major, so the row-prefix mask enumerates
-        # its destinations in order.
-        prefix = np.arange(capacity)[None, :] < counts[:, None]
-        idx_rows[prefix] = flat
-        return idx_rows, counts, capacity
-    gathered = grid.query_candidates_many(centers[:, 0], centers[:, 1], radius)
-    radius_sq = radius * radius
-    for i, candidates in enumerate(gathered):
-        dx = grid.xs[candidates] - centers[i, 0]
-        dy = grid.ys[candidates] - centers[i, 1]
-        gathered[i] = candidates[dx * dx + dy * dy <= radius_sq]
-    counts = np.array([len(g) for g in gathered], dtype=np.int64)
+    flat, counts = disc_rows(grid, centers[:, 0], centers[:, 1], radius)
     capacity = 1
     largest = int(counts.max()) if len(counts) else 1
     while capacity < max(largest, 1):
         capacity *= 2
     idx_rows = np.zeros((len(centers), capacity), dtype=np.int64)
-    for i, candidates in enumerate(gathered):
-        idx_rows[i, : len(candidates)] = candidates
+    # Left-justified scatter of the concatenated rows in one shot: the
+    # flat array is row-major, so the row-prefix mask enumerates its
+    # destinations in order.
+    prefix = np.arange(capacity)[None, :] < counts[:, None]
+    idx_rows[prefix] = flat
     return idx_rows, counts, capacity
 
 

@@ -117,8 +117,10 @@ def compare_manifests(
 
     ``metrics`` restricts (and force-gates) the checked names; otherwise
     every metric present in *both* manifests is checked, and only those
-    with a known direction are gated.  ``tolerances`` overrides the
-    relative tolerance per metric name.
+    with a known direction are gated.  A requested metric missing from
+    either manifest raises ``ValueError``: a gate must never pass by
+    skipping the metric it was asked to check.  ``tolerances`` overrides
+    the relative tolerance per metric name.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -127,15 +129,15 @@ def compare_manifests(
         if metrics
         else sorted(set(baseline.metrics) & set(current.metrics))
     )
+    for side, manifest in (("baseline", baseline), ("current", current)):
+        missing = [name for name in names if name not in manifest.metrics]
+        if missing:
+            raise ValueError(
+                f"gate metric(s) {', '.join(missing)} missing from the "
+                f"{side} manifest"
+            )
     checks: List[GateCheck] = []
     for name in names:
-        if name not in baseline.metrics or name not in current.metrics:
-            logger.warning(
-                "gate metric %r missing from %s manifest; skipping",
-                name,
-                "baseline" if name not in baseline.metrics else "current",
-            )
-            continue
         base = baseline.metrics[name]
         cur = current.metrics[name]
         direction = metric_direction(name)

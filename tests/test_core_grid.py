@@ -87,6 +87,40 @@ class TestQueryDisc:
         with pytest.raises(ValueError):
             index.query_disc(0, 0, -1.0)
 
+    def test_single_cell_degenerate(self):
+        index = SpatialGridIndex(np.full(7, 3.25), np.full(7, -1.5), 5.0)
+        assert (index.n_cols, index.n_rows) == (1, 1)
+        np.testing.assert_array_equal(index.query_disc(3.25, -1.5, 0.0), np.arange(7))
+        assert len(index.query_disc(100.0, 100.0, 50.0)) == 0
+
+    def test_all_centers_off_grid(self):
+        index = build([[0.0, 0.0], [1.0, 1.0]], cell=1.0)
+        for x, y in [(1e6, 1e6), (-1e6, -1e6)]:
+            assert len(index.query_disc(x, y, 5.0)) == 0
+        # Off-grid exits still count one query each and scan nothing.
+        assert index.queries == 2
+        assert index.candidates_scanned == 0
+
+    def test_stats_cover_every_exit_path(self):
+        rng = np.random.default_rng(13)
+        index = SpatialGridIndex(
+            rng.uniform(0, 40, 80), rng.uniform(0, 40, 80), 4.0
+        )
+        # Off-grid exit.
+        stats = {}
+        index.query_disc(1e5, 1e5, 1.0, stats=stats)
+        assert (stats["candidates"], stats["selected"]) == (0, 0)
+        # Candidates-but-no-survivors exit.
+        stats = {}
+        index.query_disc(20.0, 20.0, 1e-12, stats=stats)
+        assert stats["candidates"] > 0
+        assert stats["selected"] == 0
+        # Normal exit.
+        stats = {}
+        selected = index.query_disc(20.0, 20.0, 30.0, stats=stats)
+        assert stats["selected"] == len(selected) > 0
+        assert stats["candidates"] >= stats["selected"]
+
 
 coords = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 
@@ -111,6 +145,32 @@ class TestBruteForceParity:
         brute = particles.indices_within(x, y, radius)
         fast = particles.indices_within_grid(x, y, radius, cell)
         np.testing.assert_array_equal(brute, fast)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 250),
+        radius_kind=st.sampled_from(["zero", "tiny", "huge", "mixed"]),
+        cell=st.floats(min_value=0.5, max_value=40.0, allow_nan=False),
+    )
+    def test_extreme_radii_equal_brute_force(self, seed, n, radius_kind, cell):
+        rng = np.random.default_rng(seed)
+        particles = ParticleSet(
+            rng.uniform(-100, 100, n), rng.uniform(-100, 100, n), np.ones(n)
+        )
+        radius = {"zero": 0.0, "tiny": 1e-9, "huge": 1e4}.get(
+            radius_kind, float(rng.uniform(0.0, 150.0))
+        )
+        # Centers roam past the population bbox so off-grid and
+        # partially-overlapping discs are routinely exercised; one center
+        # sits exactly on a particle so zero and tiny radii can hit.
+        centers = list(zip(rng.uniform(-300, 300, 8), rng.uniform(-300, 300, 8)))
+        centers.append((particles.xs[0], particles.ys[0]))
+        for x, y in centers:
+            np.testing.assert_array_equal(
+                particles.indices_within(x, y, radius),
+                particles.indices_within_grid(x, y, radius, cell),
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -164,160 +224,6 @@ class TestParticleSetIntegration:
         assert particles.revision == start + 3
         particles.clip_to_area((10.0, 10.0))
         assert particles.revision == start + 4
-
-
-def _scalar_disc_loop(index, xs, ys, radii):
-    """Per-center query_disc reference: CSR (indices, offsets)."""
-    rows = [index.query_disc(x, y, r) for x, y, r in zip(xs, ys, radii)]
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    if rows:
-        np.cumsum([len(r) for r in rows], out=offsets[1:])
-    flat = (
-        np.concatenate(rows).astype(np.int64)
-        if rows
-        else np.empty(0, dtype=np.int64)
-    )
-    return flat, offsets
-
-
-class TestBatchedDiscQuery:
-    """query_disc_batch must match a per-center query_disc loop exactly."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n=st.integers(1, 250),
-        n_centers=st.integers(1, 24),
-        radius_kind=st.sampled_from(["zero", "tiny", "huge", "mixed"]),
-        cell=st.floats(min_value=0.5, max_value=40.0, allow_nan=False),
-    )
-    def test_batch_equals_scalar_loop(self, seed, n, n_centers, radius_kind, cell):
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-100, 100, n)
-        ys = rng.uniform(-100, 100, n)
-        index = SpatialGridIndex(xs, ys, cell)
-        # Centers roam past the population bbox so off-grid and
-        # partially-overlapping discs are routinely exercised.
-        cx = rng.uniform(-300, 300, n_centers)
-        cy = rng.uniform(-300, 300, n_centers)
-        if radius_kind == "zero":
-            radii = np.zeros(n_centers)
-        elif radius_kind == "tiny":
-            radii = np.full(n_centers, 1e-9)
-        elif radius_kind == "huge":
-            radii = np.full(n_centers, 1e4)
-        else:
-            radii = rng.uniform(0.0, 150.0, n_centers)
-        reference = SpatialGridIndex(xs, ys, cell)
-        want_flat, want_offsets = _scalar_disc_loop(reference, cx, cy, radii)
-        got_flat, got_offsets = index.query_disc_batch(cx, cy, radii)
-        np.testing.assert_array_equal(got_offsets, want_offsets)
-        np.testing.assert_array_equal(got_flat, want_flat)
-        # Instrumentation parity on every exit path: the batched call
-        # counts one query per center and the same candidate rows the
-        # scalar loop scanned.
-        assert index.queries == reference.queries == n_centers
-        assert index.candidates_scanned == reference.candidates_scanned
-
-    def test_single_cell_degenerate(self):
-        xs = np.full(7, 3.25)
-        ys = np.full(7, -1.5)
-        index = SpatialGridIndex(xs, ys, 5.0)
-        flat, offsets = index.query_disc_batch(
-            np.array([3.25, 100.0]), np.array([-1.5, 100.0]), np.array([0.0, 50.0])
-        )
-        np.testing.assert_array_equal(offsets, [0, 7, 7])
-        np.testing.assert_array_equal(flat, np.arange(7))
-
-    def test_all_centers_off_grid(self):
-        index = build([[0.0, 0.0], [1.0, 1.0]], cell=1.0)
-        flat, offsets = index.query_disc_batch(
-            np.array([1e6, -1e6]), np.array([1e6, -1e6]), 5.0
-        )
-        assert len(flat) == 0
-        np.testing.assert_array_equal(offsets, [0, 0, 0])
-        assert index.queries == 2
-        assert index.candidates_scanned == 0
-
-    def test_scalar_radius_broadcast(self):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(0, 50, 120)
-        ys = rng.uniform(0, 50, 120)
-        index = SpatialGridIndex(xs, ys, 4.0)
-        cx = rng.uniform(0, 50, 5)
-        cy = rng.uniform(0, 50, 5)
-        flat_s, off_s = index.query_disc_batch(cx, cy, 10.0)
-        flat_v, off_v = index.query_disc_batch(cx, cy, np.full(5, 10.0))
-        np.testing.assert_array_equal(flat_s, flat_v)
-        np.testing.assert_array_equal(off_s, off_v)
-
-    def test_sort_rows_false_keeps_contents(self):
-        rng = np.random.default_rng(12)
-        xs = rng.uniform(0, 60, 200)
-        ys = rng.uniform(0, 60, 200)
-        index = SpatialGridIndex(xs, ys, 5.0)
-        cx = rng.uniform(0, 60, 6)
-        cy = rng.uniform(0, 60, 6)
-        sorted_flat, offsets = index.query_disc_batch(cx, cy, 12.0)
-        raw_flat, raw_offsets = index.query_disc_batch(
-            cx, cy, 12.0, sort_rows=False
-        )
-        np.testing.assert_array_equal(offsets, raw_offsets)
-        for i in range(6):
-            want = sorted_flat[offsets[i]:offsets[i + 1]]
-            got = np.sort(raw_flat[offsets[i]:offsets[i + 1]])
-            np.testing.assert_array_equal(got, want)
-
-    def test_stats_cover_every_exit_path(self):
-        rng = np.random.default_rng(13)
-        xs = rng.uniform(0, 40, 80)
-        ys = rng.uniform(0, 40, 80)
-        # Empty-result exit.
-        index = SpatialGridIndex(xs, ys, 4.0)
-        stats = {}
-        flat, _ = index.query_disc_batch(
-            np.array([1e5]), np.array([1e5]), 1.0, stats=stats
-        )
-        assert (stats["candidates"], stats["selected"]) == (0, 0)
-        # Candidates-but-no-survivors exit.
-        stats = {}
-        index.query_disc_batch(
-            np.array([20.0]), np.array([20.0]), 1e-12, stats=stats
-        )
-        assert stats["selected"] == 0
-        # Normal exit.
-        stats = {}
-        flat, _ = index.query_disc_batch(
-            np.array([20.0]), np.array([20.0]), 30.0, stats=stats
-        )
-        assert stats["selected"] == len(flat)
-        assert stats["candidates"] >= stats["selected"]
-
-    def test_post_incremental_update_queries_match(self):
-        rng = np.random.default_rng(14)
-        n = 300
-        xs = rng.uniform(0, 100, n)
-        ys = rng.uniform(0, 100, n)
-        # Pin the bounding box so subset moves stay mergeable.
-        xs[0], ys[0] = 0.0, 0.0
-        xs[1], ys[1] = 100.0, 100.0
-        particles = ParticleSet(xs, ys, np.ones(n))
-        index = particles.grid(6.0)
-        moved = np.arange(2, 30)
-        particles.xs[moved] = rng.uniform(10, 90, len(moved))
-        particles.ys[moved] = rng.uniform(10, 90, len(moved))
-        particles.mark_moved(indices=moved)
-        assert particles.grid(6.0) is index  # merged in place
-        assert particles.grid_incremental_updates == 1
-        cx = rng.uniform(0, 100, 14)
-        cy = rng.uniform(0, 100, 14)
-        reference = SpatialGridIndex(particles.xs, particles.ys, 6.0)
-        want_flat, want_offsets = _scalar_disc_loop(
-            reference, cx, cy, np.full(14, 15.0)
-        )
-        got_flat, got_offsets = index.query_disc_batch(cx, cy, 15.0)
-        np.testing.assert_array_equal(got_offsets, want_offsets)
-        np.testing.assert_array_equal(got_flat, want_flat)
 
 
 class TestIncrementalMaintenance:
@@ -385,6 +291,25 @@ class TestIncrementalMaintenance:
         particles.grid(7.0)
         assert particles.grid_rebuilds == 2
         assert particles.grid_incremental_updates == 0
+
+    def test_post_incremental_update_queries_match(self):
+        particles, rng = self._particles(seed=14, n=300)
+        index = particles.grid(6.0)
+        moved = np.arange(2, 30)
+        particles.xs[moved] = rng.uniform(10, 90, len(moved))
+        particles.ys[moved] = rng.uniform(10, 90, len(moved))
+        particles.mark_moved(indices=moved)
+        assert particles.grid(6.0) is index  # merged in place
+        assert particles.grid_incremental_updates == 1
+        fresh = SpatialGridIndex(particles.xs, particles.ys, 6.0)
+        for x, y in zip(rng.uniform(0, 100, 14), rng.uniform(0, 100, 14)):
+            np.testing.assert_array_equal(
+                index.query_disc(x, y, 15.0), fresh.query_disc(x, y, 15.0)
+            )
+            np.testing.assert_array_equal(
+                index.query_candidates(x, y, 15.0),
+                fresh.query_candidates(x, y, 15.0),
+            )
 
     def test_repeated_subset_moves_accumulate(self):
         particles, rng = self._particles()

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.grid import SpatialGridIndex
 from repro.core.meanshift import (
+    disc_rows,
     gaussian_kernel_weights,
     mean_shift,
     mean_shift_modes,
+    padded_candidate_rows,
     select_seeds,
     truncated_mean_shift_modes,
 )
@@ -260,3 +262,39 @@ class TestTruncatedMeanShift:
         # stopping points can drift a little along a plateau; they must still
         # agree far inside the downstream merge radius (>= bandwidth >= 4).
         assert np.linalg.norm(tm - dm, axis=1).max() < 2.0
+
+
+class TestPaddedCandidateRows:
+    """The fast mean-shift's gathers are per-center exact disc queries."""
+
+    def test_rows_equal_query_disc(self):
+        rng = np.random.default_rng(7)
+        grid = SpatialGridIndex(
+            rng.uniform(0, 100, 150), rng.uniform(0, 100, 150), 6.0
+        )
+        # Two centers fall off the grid, so empty rows are covered.
+        centers = np.vstack([rng.uniform(0, 100, (8, 2)), [[500, 500], [-90, 5]]])
+        idx_rows, counts, capacity = padded_candidate_rows(grid, centers, 15.0)
+        assert capacity >= max(counts.max(), 1)
+        assert capacity & (capacity - 1) == 0
+        assert idx_rows.shape == (len(centers), capacity)
+        for i, (x, y) in enumerate(centers):
+            want = grid.query_disc(x, y, 15.0)
+            assert counts[i] == len(want)
+            np.testing.assert_array_equal(idx_rows[i, : counts[i]], want)
+            assert not idx_rows[i, counts[i]:].any()
+
+    def test_per_center_radii(self):
+        rng = np.random.default_rng(8)
+        grid = SpatialGridIndex(
+            rng.uniform(0, 60, 200), rng.uniform(0, 60, 200), 5.0
+        )
+        xs = rng.uniform(0, 60, 5)
+        ys = rng.uniform(0, 60, 5)
+        radii = np.array([0.0, 3.0, 10.0, 25.0, 80.0])
+        flat, counts = disc_rows(grid, xs, ys, radii)
+        rows = np.split(flat, np.cumsum(counts)[:-1])
+        for x, y, r, row in zip(xs, ys, radii, rows):
+            np.testing.assert_array_equal(row, grid.query_disc(x, y, r))
+        empty_flat, empty_counts = disc_rows(grid, [], [], 5.0)
+        assert len(empty_flat) == len(empty_counts) == 0

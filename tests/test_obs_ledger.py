@@ -323,6 +323,27 @@ class TestReportCliExitCodes:
         assert err.strip()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    def test_gate_missing_named_metric_exits_two(self, tmp_path, capsys, side):
+        from repro.__main__ import main
+
+        full = make_manifest(name="bench", parity_ok=1.0, speedup=3.0)
+        partial = make_manifest(name="bench", parity_ok=1.0)
+        docs = {"baseline": full, "current": full, side: partial}
+        paths = {}
+        for name, manifest in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(manifest.to_dict()))
+        code = main(
+            ["report", "gate", "--baseline", str(paths["baseline"]),
+             "--current", str(paths["current"]),
+             "--metrics", "parity_ok", "speedup"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "speedup" in captured.err and side in captured.err
+        assert "OK" not in captured.out
+
     def test_gate_json_output(self, tmp_path, capsys):
         from repro.__main__ import main
 
