@@ -142,11 +142,16 @@ def _kernel_timings(localizer, config):
     sensor_x = np.array([s.x for s in sensors])
     sensor_y = np.array([s.y for s in sensors])
     counts = np.full(len(sensors), 12.0)
+    # Each sensor's fusion-range disc: the rows its reading touches.
+    discs = [
+        particles.indices_within(x, y, config.fusion_range)
+        for x, y in zip(sensor_x, sensor_y)
+    ]
 
     def fused_batch():
         backend.begin_step()
         backend.log_likelihood_batch(
-            particles, sensor_x, sensor_y, counts,
+            particles, discs, sensor_x, sensor_y, counts,
             efficiency=config.assumed_efficiency,
             background_cpm=config.assumed_background_cpm,
             under_prediction_tempering=config.under_prediction_tempering,
@@ -154,7 +159,7 @@ def _kernel_timings(localizer, config):
 
     def reference_batch():
         reference.log_likelihood_batch(
-            particles, sensor_x, sensor_y, counts,
+            particles, discs, sensor_x, sensor_y, counts,
             efficiency=config.assumed_efficiency,
             background_cpm=config.assumed_background_cpm,
             under_prediction_tempering=config.under_prediction_tempering,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -190,6 +190,7 @@ class ArrayBackend:
     def log_likelihood_batch(
         self,
         particles: "ParticleSet",
+        subsets: Sequence[np.ndarray],
         sensor_x: np.ndarray,
         sensor_y: np.ndarray,
         counts: np.ndarray,
@@ -198,30 +199,33 @@ class ArrayBackend:
         under_prediction_tempering: float = 1.0,
         interference_cpm: Optional[np.ndarray] = None,
         credibility_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Fused log-likelihood of a whole step's delivered measurements.
+    ) -> List[np.ndarray]:
+        """Fused log-likelihood of a chunk of readings over their discs.
 
-        Returns an ``(n_delivered, n_particles)`` matrix: row ``b`` is the
-        (tempered, credibility-scaled) log-likelihood of measurement ``b``
-        under every particle's single-source hypothesis, evaluated at the
-        *current* particle positions.  The reference implementation loops
-        the per-sensor kernel; accelerated backends compute the whole
-        matrix in one fused pass and are parity-tested against this.
+        ``subsets[b]`` holds the particle rows reading ``b`` touches (its
+        fusion-range selection).  Returns one array per reading, aligned
+        with its subset: the (tempered, credibility-scaled) log-likelihood
+        of the reading under each selected particle's single-source
+        hypothesis, at the *current* positions.  Work is proportional to
+        the total disc size, not readings x particles.  The reference
+        implementation loops the per-sensor kernel; accelerated backends
+        compute every disc in one fused pass and are parity-tested
+        against this.
         """
         from repro.core.weighting import tempered_poisson_log_likelihood
         from repro.physics.intensity import expected_cpm_free_space
 
         sensor_x = np.asarray(sensor_x, dtype=float)
+        sensor_y = np.asarray(sensor_y, dtype=float)
         counts = np.asarray(counts, dtype=float)
-        n_delivered = len(counts)
-        out = np.empty((n_delivered, len(particles)), dtype=self.dtype)
-        for b in range(n_delivered):
+        out = []
+        for b, indices in enumerate(subsets):
             rates = expected_cpm_free_space(
                 float(sensor_x[b]),
-                float(np.asarray(sensor_y, dtype=float)[b]),
-                particles.xs,
-                particles.ys,
-                particles.strengths,
+                float(sensor_y[b]),
+                particles.xs[indices],
+                particles.ys[indices],
+                particles.strengths[indices],
                 efficiency=efficiency,
                 background_cpm=background_cpm,
             )
@@ -236,18 +240,20 @@ class ArrayBackend:
                     float(credibility_weights[b]) * log_like,
                     log_like,
                 )
-            out[b] = log_like
+            out.append(log_like)
         return out
 
     def apply_log_likelihood(
         self,
         particles: "ParticleSet",
         indices: np.ndarray,
-        log_like_row: np.ndarray,
+        log_like: np.ndarray,
     ) -> None:
-        """Apply one precomputed likelihood row to the selected subset.
+        """Apply one precomputed likelihood vector to the selected subset.
 
-        Mirrors ``reweight_in_place`` exactly (subset-mass preservation,
+        ``log_like`` is aligned with ``indices`` (one entry of
+        :meth:`log_likelihood_batch`'s result).  Mirrors
+        ``reweight_in_place`` exactly (subset-mass preservation,
         degenerate-subset backfill, all-impossible early return, relative
         floor) but takes the log-likelihood as data instead of computing
         it -- the composition point of the fused batch update.
@@ -262,7 +268,7 @@ class ArrayBackend:
         if subset_mass <= 0:
             subset_mass = m / len(particles)
             particles.weights[indices] = subset_mass / m
-        log_like = np.asarray(log_like_row, dtype=float)[indices]
+        log_like = np.asarray(log_like, dtype=float)
         with np.errstate(divide="ignore"):
             log_prior = np.log(particles.weights[indices])
         log_post = log_like + log_prior
@@ -544,6 +550,7 @@ class FastNumpyBackend(ArrayBackend):
     def log_likelihood_batch(
         self,
         particles: "ParticleSet",
+        subsets: Sequence[np.ndarray],
         sensor_x: np.ndarray,
         sensor_y: np.ndarray,
         counts: np.ndarray,
@@ -552,65 +559,87 @@ class FastNumpyBackend(ArrayBackend):
         under_prediction_tempering: float = 1.0,
         interference_cpm: Optional[np.ndarray] = None,
         credibility_weights: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One fused ``(n_delivered, n_particles)`` float32 pass.
+    ) -> List[np.ndarray]:
+        """One fused float32 pass over the concatenated disc rows.
 
-        The per-sensor Python loop of the reference collapses into
-        broadcasted row arithmetic over scratch matrices; quarantined
+        The per-sensor Python loop of the reference collapses into flat
+        arithmetic over the chunk's disc rows laid end to end, each row
+        carrying its reading's parameters (gathered through a row ->
+        reading map), so the cost is the total disc size.  Quarantined
         readings never reach this kernel (the localizer drops them during
         admission), and per-row credibility weights compose here exactly
-        as in the scalar path.  The returned matrix is a scratch view --
-        consume it before the next batch call.
+        as in the scalar path.  The returned arrays are views of one
+        scratch buffer -- consume them before the next batch call.
         """
+        n_delivered = len(subsets)
         scratch = self.scratch
-        counts = np.asarray(counts, dtype=np.float64)
-        n_delivered = len(counts)
         n = len(particles)
-        xs32, ys32, st32 = self._position_mirrors(particles)
-        shape = (n_delivered, n)
-        sx = scratch.get("batch.sx", (n_delivered,), np.float32)
-        sy = scratch.get("batch.sy", (n_delivered,), np.float32)
-        np.copyto(sx, sensor_x)
-        np.copyto(sy, sensor_y)
-        counts32 = scratch.get("batch.counts", (n_delivered,), np.float32)
-        np.copyto(counts32, counts)
-        # log Gamma(count + 1) per row, in float64 (large counts lose all
-        # fractional precision in float32; one tiny host-side vector).
-        log_gamma = gammaln(counts + 1.0)
+        if n > scratch.reserve_hint:
+            scratch.reserve_hint = n
+        counts = np.asarray(counts, dtype=np.float64)
+        bounds = [0]
+        for subset in subsets:
+            bounds.append(bounds[-1] + len(subset))
+        total = bounds[-1]
+        rows = scratch.get("batch.rows", (total,), np.int64)
+        reading = scratch.get("batch.reading", (total,), np.int64)
+        for b, subset in enumerate(subsets):
+            rows[bounds[b]:bounds[b + 1]] = subset
+            reading[bounds[b]:bounds[b + 1]] = b
 
-        d_sq = scratch.get("batch.dsq", shape, np.float32)
-        tmp = scratch.get("batch.tmp", shape, np.float32)
-        np.subtract(xs32[None, :], sx[:, None], out=d_sq)
+        gathered = scratch.get("batch.gather", (total,), np.float64)
+
+        def gather(values: np.ndarray, out: np.ndarray) -> None:
+            """``out[:] = values[rows]``, cast to float32."""
+            np.take(values, rows, out=gathered)
+            np.copyto(out, gathered)
+
+        def spread(key: str, values) -> np.ndarray:
+            """A per-reading float32 parameter, expanded to every disc row."""
+            per_reading = scratch.get(f"batch.{key}", (n_delivered,), np.float32)
+            np.copyto(per_reading, values)
+            expanded = scratch.get(f"batch.{key}.rows", (total,), np.float32)
+            np.take(per_reading, reading, out=expanded)
+            return expanded
+
+        # log Gamma(count + 1) per reading, in float64 (large counts lose
+        # all fractional precision in float32; one tiny host-side vector).
+        log_gamma = gammaln(counts + 1.0)
+        counts32 = spread("counts", counts)
+
+        d_sq = scratch.get("batch.dsq", (total,), np.float32)
+        tmp = scratch.get("batch.tmp", (total,), np.float32)
+        gather(particles.xs, d_sq)
+        np.subtract(d_sq, spread("sx", sensor_x), out=d_sq)
         np.multiply(d_sq, d_sq, out=d_sq)
-        np.subtract(ys32[None, :], sy[:, None], out=tmp)
+        gather(particles.ys, tmp)
+        np.subtract(tmp, spread("sy", sensor_y), out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(d_sq, tmp, out=d_sq)
         np.add(d_sq, np.float32(1.0), out=d_sq)
         rates = tmp  # d_sq holds 1 + d^2; tmp is free to become the rates
-        np.divide(st32[None, :], d_sq, out=rates)
+        gather(particles.strengths, rates)
+        np.divide(rates, d_sq, out=rates)
         np.multiply(
             rates, np.float32(CPM_PER_MICROCURIE * efficiency), out=rates
         )
         np.add(rates, np.float32(background_cpm), out=rates)
         if interference_cpm is not None:
-            intf = scratch.get("batch.intf", (n_delivered,), np.float32)
-            np.copyto(intf, interference_cpm)
-            np.add(rates, intf[:, None], out=rates)
+            np.add(rates, spread("intf", interference_cpm), out=rates)
 
-        log_like = d_sq  # 1 + d^2 is spent; reuse as the output matrix
-        positive = scratch.get("batch.positive", shape, bool)
+        log_like = d_sq  # 1 + d^2 is spent; reuse as the output
+        positive = scratch.get("batch.positive", (total,), bool)
         np.greater(rates, 0.0, out=positive)
-        row = scratch.get("batch.row", (n_delivered,), np.float32)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(rates, out=log_like, where=positive)
-        np.multiply(log_like, counts32[:, None], out=log_like, where=positive)
+        np.multiply(log_like, counts32, out=log_like, where=positive)
         np.subtract(log_like, rates, out=log_like, where=positive)
-        np.copyto(row, log_gamma)
-        np.subtract(log_like, row[:, None], out=log_like, where=positive)
-        fill = scratch.get("batch.fill", (n_delivered,), np.float32)
-        np.copyto(fill, np.where(counts == 0.0, 0.0, -np.inf))
+        np.subtract(
+            log_like, spread("lgamma", log_gamma), out=log_like, where=positive
+        )
+        fill = spread("fill", np.where(counts == 0.0, 0.0, -np.inf))
         np.logical_not(positive, out=positive)
-        np.copyto(log_like, fill[:, None], where=positive)
+        np.copyto(log_like, fill, where=positive)
 
         if under_prediction_tempering < 1.0:
             alpha = np.float32(under_prediction_tempering)
@@ -623,29 +652,30 @@ class FastNumpyBackend(ArrayBackend):
                     0.0,
                 )
             under = positive  # spent; reuse as the under-prediction mask
-            np.less(rates, counts32[:, None], out=under)
+            np.less(rates, counts32, out=under)
             scaled = rates  # rates are spent after the mask
             np.multiply(log_like, alpha, out=scaled)
-            np.copyto(row, (1.0 - under_prediction_tempering) * at_count)
-            np.add(scaled, row[:, None], out=scaled)
+            np.add(
+                scaled,
+                spread("atcount", (1.0 - under_prediction_tempering) * at_count),
+                out=scaled,
+            )
             np.copyto(log_like, scaled, where=under)
             spare = scaled
         else:
             spare = rates
         if credibility_weights is not None:
-            cred = scratch.get("batch.cred", (n_delivered,), np.float32)
-            np.copyto(cred, credibility_weights)
             finite = positive
             np.isfinite(log_like, out=finite)
-            np.multiply(log_like, cred[:, None], out=spare)
+            np.multiply(log_like, spread("cred", credibility_weights), out=spare)
             np.copyto(log_like, spare, where=finite)
-        return log_like
+        return [log_like[bounds[b]:bounds[b + 1]] for b in range(n_delivered)]
 
     def apply_log_likelihood(
         self,
         particles: "ParticleSet",
         indices: np.ndarray,
-        log_like_row: np.ndarray,
+        log_like: np.ndarray,
     ) -> None:
         m = len(indices)
         if m == 0:
@@ -659,8 +689,6 @@ class FastNumpyBackend(ArrayBackend):
             subset_mass = m / len(particles)
             particles.weights[indices] = subset_mass / m
             prior.fill(subset_mass / m)
-        log_like = scratch.get("rw.ll", (m,), np.float32)
-        np.take(log_like_row, indices, out=log_like)
         self._apply_posterior(particles, indices, prior, log_like, subset_mass)
 
     # --- resampling ------------------------------------------------------------

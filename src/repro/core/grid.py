@@ -26,12 +26,14 @@ by a sorted merge into the existing CSR order instead of re-sorting the
 whole population.  The merged index is array-equal to a from-scratch
 rebuild whenever the grid geometry (origin and cell-span) is unchanged;
 otherwise ``apply_moves`` refuses and the owner falls back to a full
-rebuild.
+rebuild.  Between re-bins the owner may keep querying a stale index by
+passing the moved rows to :meth:`query_disc`, which tests them directly
+instead of trusting their old cells.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -206,6 +208,7 @@ class SpatialGridIndex:
         y: float,
         radius: float,
         stats: Optional[dict] = None,
+        moved: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Indices of points with ``(px-x)^2 + (py-y)^2 <= radius^2``.
 
@@ -213,8 +216,19 @@ class SpatialGridIndex:
         scan, so fast-path selection stays bit-identical.  ``stats``, when
         given, receives ``candidates`` (points scanned) and ``selected``
         on every exit path, including empty and off-grid queries.
+
+        ``moved`` lets a stale index answer exactly: a ``(mask, rows)``
+        pair naming the points whose coordinates changed since they were
+        binned (boolean mask over all points, and its nonzero positions).
+        Their stale cells are ignored and the moved points join the
+        candidates directly, so the distance test over the current
+        coordinates still returns the brute-force answer.
         """
         candidates = self.query_candidates(x, y, radius)
+        if moved is not None:
+            mask, rows = moved
+            candidates = np.concatenate((candidates[~mask[candidates]], rows))
+            self.candidates_scanned += len(rows)
         if len(candidates) == 0:
             if stats is not None:
                 stats["candidates"] = 0

@@ -40,8 +40,9 @@ from repro.sensors.measurement import Measurement
 logger = logging.getLogger(__name__)
 
 #: Readings fused per batched likelihood pass.  Within a chunk every
-#: weight row applies to the same population; resampling runs between
-#: chunks so the filter keeps the sequential loop's intra-step annealing.
+#: reading's update applies to the same population; resampling runs
+#: between chunks so the filter keeps the sequential loop's intra-step
+#: annealing.
 #: 8 keeps >90% of the batching win on the Table-1 cell while matching
 #: the sequential loop's accuracy on the paper scenarios.
 FUSED_CHUNK = 8
@@ -315,10 +316,11 @@ class MultiSourceLocalizer:
         likelihood passes of :data:`FUSED_CHUNK` readings each: within a
         chunk, admission (integrity scoring, quarantine drops, echo-EMA
         updates, fusion selection) runs per reading in delivery order,
-        one backend call computes the chunk's likelihood matrix, every
-        row is applied to the same un-mutated population it was computed
-        on (the weight updates are multiplicative, so their order within
-        the chunk is immaterial), and then each reading's region is
+        one backend call computes the likelihood over every reading's
+        disc rows, each reading's values are applied to the same
+        un-mutated population they were computed on (the weight updates
+        are multiplicative, so their order within the chunk is
+        immaterial), and then each reading's region is
         selectively resampled in delivery order.  Resampling *between*
         chunks preserves the sequential loop's annealing behaviour --
         fusing a whole step into one chunk starves later readings of the
@@ -380,9 +382,11 @@ class MultiSourceLocalizer:
                 )
 
             if admitted:
-                # Phase B -- one fused likelihood pass over the whole batch.
+                # Phase B -- one fused likelihood pass over the chunk's
+                # disc rows (each reading's selection, laid end to end).
                 log_like = backend.log_likelihood_batch(
                     self.particles,
+                    [entry[2] for entry in admitted],
                     np.array([entry[0].x for entry in admitted]),
                     np.array([entry[0].y for entry in admitted]),
                     np.array([entry[0].cpm for entry in admitted]),
@@ -400,15 +404,13 @@ class MultiSourceLocalizer:
                     metrics.histogram("backend.weight_update_batch_size").observe(
                         len(admitted)
                     )
-                # Phase C -- apply every weight row against the same
-                # un-mutated population the likelihood matrix was computed
-                # on.  Interleaving resamples here would move particles out
-                # from under the remaining precomputed rows.
-                for row, (m, fusion_range, indices, _intf, _cred) in enumerate(
-                    admitted
-                ):
+                # Phase C -- apply every reading's likelihood against the
+                # same un-mutated population it was computed on.
+                # Interleaving resamples here would move particles out from
+                # under the remaining precomputed values.
+                for entry, disc_log_like in zip(admitted, log_like):
                     backend.apply_log_likelihood(
-                        self.particles, indices, log_like[row]
+                        self.particles, entry[2], disc_log_like
                     )
                     self.particles.normalize()
                 # Phase D -- resample each reading's region in delivery

@@ -15,17 +15,28 @@ import numpy as np
 
 from repro.core.grid import SpatialGridIndex
 
+#: Moved share of the population up to which a disc query answers from the
+#: stale grid plus a direct test of the moved rows; past it, the query
+#: re-bins first.  A fused chunk of 8 readings on the Table-1 cell moves
+#: about 15%, so this re-bins roughly once per chunk.
+DEFERRED_FRACTION = 1 / 8
+#: Moved share up to which a re-bin merges the moved rows into the index
+#: (``SpatialGridIndex.apply_moves``); past it one full rebuild is cheaper.
+INCREMENTAL_FRACTION = 0.25
+
 
 class ParticleSet:
     """A weighted population of (x, y, strength) hypotheses.
 
     The set carries a monotonically increasing **revision counter**: every
     in-place mutation (reweighting, resampling, movement, injection) bumps
-    it, which is what lets downstream consumers -- the spatial grid index
-    and the localizer's estimate cache -- invalidate themselves lazily
-    instead of recomputing per call.  Code that writes the coordinate or
-    weight arrays directly must call :meth:`mark_moved` /
-    :meth:`mark_reweighted` afterwards.
+    it, which is what lets downstream consumers -- the localizer's
+    estimate cache, the fast backend's float32 mirrors -- invalidate
+    themselves lazily instead of recomputing per call; position mutations
+    also record which rows moved, which is what the spatial grid index
+    catches up on.  Code that writes the coordinate or weight arrays
+    directly must call :meth:`mark_moved` / :meth:`mark_reweighted`
+    afterwards.
     """
 
     def __init__(
@@ -61,20 +72,16 @@ class ParticleSet:
         self.weights = weights
         self._revision = 0
         self._position_revision = 0
-        # Lazily (re)built spatial index: (index, position_revision).
+        # Lazily built spatial index, kept at its last binning while
+        # positions move (see indices_within_grid).
         self._grid: Optional[SpatialGridIndex] = None
-        self._grid_revision = -1
-        # Dirty-row accumulator between grid syncs: a list of index arrays
-        # when every position mutation since the last sync declared its
-        # touched rows, or None when any mutation was unbounded (full
-        # rebuild required).
-        self._dirty: Optional[list] = None
-        self._dirty_count = 0
-        #: Fraction of the population above which a dirty set triggers a
-        #: full rebuild instead of an incremental merge (the merge's
-        #: per-row cost overtakes one argsort well before 1.0).  0
-        #: disables incremental maintenance.
-        self.grid_incremental_threshold = 0.25
+        # Rows moved since the index was last binned: a boolean mask while
+        # every position mutation since then declared its rows
+        # (mark_moved(indices=...)), None when one did not or no index
+        # exists -- only a full rebuild catches up then.
+        self._moved: Optional[np.ndarray] = None
+        # np.flatnonzero(self._moved), cached until the next mark_moved.
+        self._moved_rows: Optional[np.ndarray] = None
         #: Cumulative grid instrumentation (rebuilds / queries / candidate
         #: counts survive index rebuilds; read by the localizer's metrics).
         #: ``grid_rebuilds`` counts *full* rebuilds; incremental merges
@@ -123,8 +130,8 @@ class ParticleSet:
 
         The returned arrays are **copies** (a checkpoint must not alias a
         population that keeps mutating).  Revision counters ride along so
-        revision-keyed caches (the grid index, the localizer's estimate
-        cache) stay valid across a restore.
+        revision-keyed caches (the localizer's estimate cache) stay valid
+        across a restore.
         """
         return {
             "xs": self.xs.copy(),
@@ -169,92 +176,96 @@ class ParticleSet:
 
         ``indices``, when given, promises the mutation touched *only*
         those rows (a selective resample, a bounded-subset move); the
-        cached grid index can then be maintained incrementally instead of
-        rebuilt from scratch.  Omit it for unbounded mutations.
+        cached grid index can then keep answering queries and be
+        re-binned incrementally instead of rebuilt from scratch.  Omit it
+        for unbounded mutations.
         """
         self._revision += 1
         self._position_revision = self._revision
+        if self._moved is None:
+            return  # no index, or already unbounded since the last binning
         if indices is None:
-            self._dirty = None
-            return
-        if self._dirty is None:
-            return  # already unbounded since the last grid sync
-        dirty = np.asarray(indices, dtype=np.int64)
-        if dirty is indices:
-            dirty = dirty.copy()  # callers may mutate their array later
-        self._dirty.append(dirty)
-        self._dirty_count += len(dirty)
-        if self._dirty_count > 4 * len(self):
-            # Memory guard: repeated subset moves without a grid sync in
-            # between; the union is headed past the rebuild threshold.
-            self._dirty = None
+            self._moved = None
+        else:
+            self._moved[indices] = True
+        self._moved_rows = None
 
     # --- spatial index -----------------------------------------------------------
+
+    def _pending_moves(self, cell_size: float) -> Optional[np.ndarray]:
+        """Rows moved since the cached index was binned (sorted, unique).
+
+        None when no re-binning of rows can bring the cache current: no
+        index at this cell size, an unbounded move, or coordinate arrays
+        replaced rather than written in place.
+        """
+        index = self._grid
+        if (
+            self._moved is None
+            or index is None
+            or index.cell_size != cell_size
+            or index.xs is not self.xs
+            or index.ys is not self.ys
+        ):
+            return None
+        if self._moved_rows is None:
+            self._moved_rows = np.flatnonzero(self._moved)
+        return self._moved_rows
 
     def grid(self, cell_size: float) -> SpatialGridIndex:
         """The spatial index over current positions, maintained lazily.
 
-        When positions changed since the last sync, the cached index is
-        re-binned incrementally if every mutation declared its dirty rows
-        (:meth:`mark_moved` with ``indices=``) and the dirty fraction
-        stays under :attr:`grid_incremental_threshold`; otherwise -- or
+        When positions changed since the last binning, the cached index
+        is re-binned incrementally if every mutation declared its moved
+        rows (:meth:`mark_moved` with ``indices=``) and they are at most
+        :data:`INCREMENTAL_FRACTION` of the population; otherwise -- or
         when the merge cannot reproduce a from-scratch build because the
         population's bounding box changed -- it is rebuilt.  Either way
         the returned index is array-equal to a fresh
         :class:`SpatialGridIndex` over current positions.
         """
-        index = self._grid
-        if index is not None and index.cell_size == cell_size:
-            if self._grid_revision == self._position_revision:
+        moved = self._pending_moves(cell_size)
+        if moved is not None:
+            index = self._grid
+            if len(moved) == 0:
                 return index
-            if self._sync_incrementally(index):
+            if (
+                len(moved) <= INCREMENTAL_FRACTION * len(self)
+                and index.apply_moves(moved)
+            ):
+                self.grid_incremental_updates += 1
+                self._moved[moved] = False
+                self._moved_rows = moved[:0]
                 return index
         index = SpatialGridIndex(self.xs, self.ys, cell_size)
         self._grid = index
-        self._grid_revision = self._position_revision
         self.grid_rebuilds += 1
-        self._dirty = []
-        self._dirty_count = 0
+        self._moved = np.zeros(len(self), dtype=bool)
+        self._moved_rows = np.empty(0, dtype=np.intp)
         return index
 
-    def _sync_incrementally(self, index: SpatialGridIndex) -> bool:
-        """Try to bring the cached ``index`` current via re-binning."""
-        dirty_sets = self._dirty
-        if (
-            dirty_sets is None
-            or index.xs is not self.xs
-            or index.ys is not self.ys
-        ):
-            return False
-        if dirty_sets:
-            stacked = (
-                dirty_sets[0] if len(dirty_sets) == 1 else np.concatenate(dirty_sets)
-            )
-            dirty = np.unique(stacked)
-        else:
-            dirty = np.empty(0, dtype=np.int64)
-        if len(dirty) > self.grid_incremental_threshold * len(self):
-            return False
-        if len(dirty) and not index.apply_moves(dirty):
-            return False
-        self._grid_revision = self._position_revision
-        self._dirty = []
-        self._dirty_count = 0
-        if len(dirty):
-            self.grid_incremental_updates += 1
-        return True
+    def _deferred_query(
+        self, x: float, y: float, radius: float, cell_size: float
+    ) -> Optional[np.ndarray]:
+        """:meth:`indices_within` from the cached index without re-binning.
 
-    def fresh_grid(self) -> Optional[SpatialGridIndex]:
-        """The cached index, only when it matches current positions.
-
-        Never builds: callers that merely *prefer* grid acceleration (the
-        diagnostics disc scans) use this to reuse an index the hot path
-        already paid for, falling back to brute force otherwise.
+        The index answers for the rows still in the cells it binned them
+        to, and the moved rows are distance-tested directly, so the result
+        is array-equal to the brute-force scan.  None when more than
+        :data:`DEFERRED_FRACTION` of the population moved (the direct test
+        would stop being local) or the cache cannot be caught up at all.
         """
+        moved = self._pending_moves(cell_size)
+        if moved is None or len(moved) > DEFERRED_FRACTION * len(self):
+            return None
         index = self._grid
-        if index is not None and self._grid_revision == self._position_revision:
-            return index
-        return None
+        before = index.candidates_scanned
+        selected = index.query_disc(
+            x, y, radius, moved=(self._moved, moved) if len(moved) else None
+        )
+        self.grid_queries += 1
+        self.grid_candidates += index.candidates_scanned - before
+        return selected
 
     def indices_within_grid(
         self, x: float, y: float, radius: float, cell_size: float
@@ -263,31 +274,30 @@ class ParticleSet:
 
         Scans only the cells overlapping the query disc instead of all N
         particles; returns the same sorted index array as the brute-force
-        scan.
+        scan.  Rows moved since the last binning are tested directly
+        beside the stale index, so a run of subset moves re-bins once
+        :data:`DEFERRED_FRACTION` of the population has moved instead of
+        after every move.
         """
-        index = self.grid(cell_size)
-        before = index.candidates_scanned
-        selected = index.query_disc(x, y, radius)
-        self.grid_queries += 1
-        self.grid_candidates += index.candidates_scanned - before
+        selected = self._deferred_query(x, y, radius, cell_size)
+        if selected is None:
+            self.grid(cell_size)
+            selected = self._deferred_query(x, y, radius, cell_size)
         return selected
 
     def indices_within_cached(self, x: float, y: float, radius: float) -> np.ndarray:
-        """:meth:`indices_within`, served by the cached grid when fresh.
+        """:meth:`indices_within`, served by the cached grid when it can.
 
         Bit-identical either way -- the grid's exact disc query matches
         the brute-force scan -- but skips the O(N) sweep whenever an index
-        the hot path already built is still current.  Never forces a
-        build.
+        the hot path already built can answer without re-binning.  Never
+        builds or re-bins.
         """
-        index = self.fresh_grid()
-        if index is None:
-            return self.indices_within(x, y, radius)
-        before = index.candidates_scanned
-        selected = index.query_disc(x, y, radius)
-        self.grid_queries += 1
-        self.grid_candidates += index.candidates_scanned - before
-        return selected
+        if self._grid is not None:
+            selected = self._deferred_query(x, y, radius, self._grid.cell_size)
+            if selected is not None:
+                return selected
+        return self.indices_within(x, y, radius)
 
     # --- basic queries -----------------------------------------------------------
 

@@ -202,6 +202,19 @@ def _batch_inputs(localizer, n_delivered, counts, credibility=None):
     return particles, sensor_x, sensor_y, np.asarray(counts, dtype=float)
 
 
+def _ragged_subsets(particles, sensor_x, sensor_y, radius=30.0):
+    """Per-reading particle rows cycling through disc, empty and everyone."""
+    kinds = (
+        lambda x, y: particles.indices_within(x, y, radius),
+        lambda x, y: np.empty(0, dtype=np.int64),
+        lambda x, y: np.arange(len(particles)),
+    )
+    return [
+        kinds[b % len(kinds)](x, y)
+        for b, (x, y) in enumerate(zip(sensor_x, sensor_y))
+    ]
+
+
 count_lists = st.lists(
     st.one_of(
         st.just(0.0),
@@ -228,40 +241,53 @@ class TestFastParity:
         particles, sx, sy, counts = _batch_inputs(
             localizer, len(counts), counts
         )
+        subsets = _ragged_subsets(particles, sx, sy)
         cred = np.full(len(counts), credibility)
         interference = np.linspace(0.0, 3.0, len(counts))
         reference = ArrayBackend().log_likelihood_batch(
-            particles, sx, sy, counts,
+            particles, subsets, sx, sy, counts,
             efficiency=EFFICIENCY, background_cpm=BACKGROUND,
             under_prediction_tempering=tempering,
             interference_cpm=interference, credibility_weights=cred,
         )
         fast = get_backend("fast").log_likelihood_batch(
-            particles, sx, sy, counts,
+            particles, subsets, sx, sy, counts,
             efficiency=EFFICIENCY, background_cpm=BACKGROUND,
             under_prediction_tempering=tempering,
             interference_cpm=interference, credibility_weights=cred,
         )
-        assert fast.shape == reference.shape
-        finite = np.isfinite(reference)
-        assert np.array_equal(finite, np.isfinite(fast))
-        # float32 forward model: relative agreement, scaled by magnitude.
-        np.testing.assert_allclose(
-            np.asarray(fast, dtype=float)[finite],
-            reference[finite],
-            rtol=5e-4,
-            atol=5e-3 * max(1.0, float(np.abs(reference[finite]).max())),
-        )
+        assert len(fast) == len(reference) == len(subsets)
+        for subset, ref_row, fast_row in zip(subsets, reference, fast):
+            assert ref_row.shape == fast_row.shape == (len(subset),)
+            finite = np.isfinite(ref_row)
+            assert np.array_equal(finite, np.isfinite(fast_row))
+            if not finite.any():
+                continue
+            # float32 forward model: relative agreement, scaled by magnitude.
+            np.testing.assert_allclose(
+                np.asarray(fast_row, dtype=float)[finite],
+                ref_row[finite],
+                rtol=5e-4,
+                atol=5e-3 * max(1.0, float(np.abs(ref_row[finite]).max())),
+            )
 
     def test_empty_batch(self):
         config = base_config(n_particles=200)
         localizer = MultiSourceLocalizer(config, rng=np.random.default_rng(2))
-        out = get_backend("fast").log_likelihood_batch(
-            localizer.particles,
-            np.empty(0), np.empty(0), np.empty(0),
-            efficiency=EFFICIENCY, background_cpm=BACKGROUND,
-        )
-        assert out.shape == (0, len(localizer.particles))
+        for backend in (ArrayBackend(), get_backend("fast")):
+            out = backend.log_likelihood_batch(
+                localizer.particles, [],
+                np.empty(0), np.empty(0), np.empty(0),
+                efficiency=EFFICIENCY, background_cpm=BACKGROUND,
+            )
+            assert out == []
+            # A batch whose only reading selected nothing.
+            (row,) = backend.log_likelihood_batch(
+                localizer.particles, [np.empty(0, dtype=np.int64)],
+                np.array([50.0]), np.array([50.0]), np.array([3.0]),
+                efficiency=EFFICIENCY, background_cpm=BACKGROUND,
+            )
+            assert row.shape == (0,)
 
     def test_fused_weight_update_matches_sequential(self):
         """The whole fused update (batch likelihood + per-row apply).
@@ -290,18 +316,17 @@ class TestFastParity:
         sx = rng.uniform(0, 100, n_delivered)
         sy = rng.uniform(0, 100, n_delivered)
         counts = rng.integers(0, 40, n_delivered).astype(float)
-        indices = np.arange(len(src))
+        subsets = _ragged_subsets(src, sx, sy)
         for backend, particles in zip(
             (ArrayBackend(), get_backend("fast")), clones
         ):
             rows = backend.log_likelihood_batch(
-                particles, sx, sy, counts,
+                particles, subsets, sx, sy, counts,
                 efficiency=EFFICIENCY, background_cpm=BACKGROUND,
                 under_prediction_tempering=config.under_prediction_tempering,
             )
-            rows = np.array(rows, dtype=float, copy=True)
-            for b in range(n_delivered):
-                backend.apply_log_likelihood(particles, indices, rows[b])
+            for indices, row in zip(subsets, rows):
+                backend.apply_log_likelihood(particles, indices, row)
                 particles.normalize()
         reference, fast = clones
         np.testing.assert_allclose(

@@ -237,7 +237,8 @@ class TestIncrementalMaintenance:
         xs[1], ys[1] = 100.0, 100.0
         return ParticleSet(xs, ys, np.ones(n)), rng
 
-    def _assert_index_equal(self, index, fresh):
+    @staticmethod
+    def _assert_index_equal(index, fresh):
         np.testing.assert_array_equal(index._order, fresh._order)
         np.testing.assert_array_equal(index._sorted_cids, fresh._sorted_cids)
         np.testing.assert_array_equal(index._sorted_keys, fresh._sorted_keys)
@@ -324,3 +325,112 @@ class TestIncrementalMaintenance:
         self._assert_index_equal(
             merged, SpatialGridIndex(particles.xs, particles.ys, 7.0)
         )
+
+
+class TestDeferredQueries:
+    """Queries between re-bins: a stale index plus the moved rows.
+
+    ``indices_within_grid`` answers from the grid as last binned, minus
+    the rows moved since, plus a direct test of those rows.  Two
+    populations take the same random moves in lockstep: ``lazy`` is only
+    ever queried (so moved rows pile up until the deferral fraction forces
+    a re-bin), ``synced`` is also re-binned through ``grid()`` after
+    every move.  After every move both must answer exactly like the
+    brute-force scan, and ``synced``'s index must equal a fresh build.
+    """
+
+    CELLS = (7.0, 7.0, 7.0, 3.5)  # mostly one cell size, sometimes another
+
+    @staticmethod
+    def _move(kind, particles, rng):
+        n = len(particles)
+        if kind == "subset":
+            rows = rng.choice(n, int(rng.integers(1, n // 10)), replace=False)
+            particles.xs[rows] = rng.uniform(5, 95, len(rows))
+            particles.ys[rows] = rng.uniform(5, 95, len(rows))
+            particles.mark_moved(indices=rows)
+        elif kind == "bbox":
+            # Push one row past the current bounding box, or pull the
+            # bbox-min holder inward: either changes the grid geometry.
+            row = int(rng.integers(n))
+            if rng.uniform() < 0.5:
+                particles.xs[row] = particles.xs.max() + rng.uniform(1, 20)
+            else:
+                row = int(np.argmin(particles.ys))
+                particles.ys[row] = 50.0
+            particles.mark_moved(indices=np.array([row]))
+        elif kind == "unbounded":
+            particles.xs += rng.normal(0, 0.5, n)
+            particles.mark_moved()
+        else:  # "clip": jitter a subset out of the area, then clamp it back
+            rows = rng.choice(n, int(rng.integers(1, n // 20)), replace=False)
+            particles.xs[rows] += rng.normal(0, 40, len(rows))
+            particles.ys[rows] += rng.normal(0, 40, len(rows))
+            particles.clip_to_area((100.0, 100.0), indices=rows)
+
+    @staticmethod
+    def _queries(particles, rng):
+        hit = int(rng.integers(len(particles)))
+        return [
+            (particles.xs[hit], particles.ys[hit], 0.0),  # zero radius, on a point
+            (particles.xs[hit], particles.ys[hit], 1e-9),  # tiny
+            (50.0, 50.0, 1e6),  # huge
+            (-500.0, 800.0, 10.0),  # off-grid
+            (*rng.uniform(-20, 120, 2), float(rng.uniform(0, 40))),
+            (*rng.uniform(0, 100, 2), float(rng.uniform(0, 15))),
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_deferred_queries_equal_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        xs = rng.uniform(0, 100, n)
+        ys = rng.uniform(0, 100, n)
+        lazy = ParticleSet(xs.copy(), ys.copy(), np.ones(n))
+        synced = ParticleSet(xs.copy(), ys.copy(), np.ones(n))
+        kinds = ["subset"] * 6 + ["bbox", "unbounded", "clip", "clip"]
+        for step in range(30):
+            kind = kinds[int(rng.integers(len(kinds)))]
+            move_seed = int(rng.integers(2**31))
+            for particles in (lazy, synced):
+                self._move(kind, particles, np.random.default_rng(move_seed))
+            np.testing.assert_array_equal(lazy.xs, synced.xs)
+            cell = self.CELLS[step % len(self.CELLS)]
+            for x, y, radius in self._queries(lazy, rng):
+                brute = lazy.indices_within(x, y, radius)
+                for particles in (lazy, synced):
+                    np.testing.assert_array_equal(
+                        particles.indices_within_grid(x, y, radius, cell), brute
+                    )
+                    np.testing.assert_array_equal(
+                        particles.indices_within_cached(x, y, radius), brute
+                    )
+            TestIncrementalMaintenance._assert_index_equal(
+                synced.grid(cell),
+                SpatialGridIndex(synced.xs, synced.ys, cell),
+            )
+
+    def test_small_moves_rebin_once(self):
+        """8 sequential 2% moves, each queried: at most one re-bin."""
+        rng = np.random.default_rng(8)
+        n = 1000
+        particles = ParticleSet(
+            rng.uniform(0, 100, n), rng.uniform(0, 100, n), np.ones(n)
+        )
+        particles.xs[:2] = (0.0, 100.0)  # pin the bounding box
+        particles.ys[:2] = (0.0, 100.0)
+        particles.indices_within_grid(50.0, 50.0, 10.0, 7.0)
+        order = rng.permutation(np.arange(2, n))
+        for k in range(8):
+            rows = order[k * 20:(k + 1) * 20]
+            particles.xs[rows] = rng.uniform(5, 95, len(rows))
+            particles.ys[rows] = rng.uniform(5, 95, len(rows))
+            particles.mark_moved(indices=rows)
+            x, y = rng.uniform(0, 100, 2)
+            np.testing.assert_array_equal(
+                particles.indices_within_grid(x, y, 12.0, 7.0),
+                particles.indices_within(x, y, 12.0),
+            )
+        assert particles.grid_rebuilds == 1
+        assert particles.grid_incremental_updates <= 1
