@@ -5,14 +5,17 @@ wall is not numpy itself but *how* the kernels are driven: one Python
 round-trip per sensor in the weight path, ragged per-seed gathers and
 ``np.repeat`` copies in the truncated mean-shift, and a fresh temporary
 for every intermediate array.  An :class:`ArrayBackend` owns those
-kernels -- fused Poisson log-likelihood over a whole step's delivered
-measurements, the segmented mean-shift reduction, and the resampling
-prefix-sum -- so the driver code (``weighting``,
-``resampling``, ``estimator``, ``localizer``) stays backend-agnostic:
+kernels -- the Poisson weight update (``log_likelihood_batch`` over a
+chunk of readings' discs, then ``apply_log_likelihood`` per disc), the
+segmented mean-shift reduction, and the resampling prefix-sum -- so the
+driver code (``weighting``, ``resampling``, ``estimator``,
+``localizer``) stays backend-agnostic.  Each kernel exists once per
+backend: the sequential loop's ``reweight_in_place`` is a batch of one
+through the same two weight-path kernels the fused path calls.
 
-* :class:`NumpyBackend` (``"default"``) delegates to the float64
-  reference implementations and is **bitwise-identical** to the code it
-  replaced -- the existing parity contract is untouched.
+* :class:`NumpyBackend` (``"default"``) is the float64 reference
+  (:class:`ArrayBackend` itself) and **bitwise-reproducible**: the
+  golden digests pin its results.
 * :class:`FastNumpyBackend` (``"fast"``) computes in float32 over
   structure-of-arrays scratch buffers preallocated per step: every O(n)
   temporary on the weight path comes from the :class:`ScratchPool`, so
@@ -134,12 +137,11 @@ class ScratchPool:
 class ArrayBackend:
     """Kernel provider interface plus the shared bookkeeping.
 
-    The base class *is* the reference provider contract: subclasses
-    override the kernels they accelerate and inherit exact behavior for
-    the rest.  ``accelerated`` is the dispatch switch the drivers test --
-    a non-accelerated backend routes every call through the unmodified
-    reference code paths, preserving the bitwise-parity contract by
-    construction.
+    The base class *is* the float64 reference: subclasses override the
+    kernels they accelerate and inherit exact behavior for the rest.
+    ``accelerated`` is the switch the drivers test to pick the fused
+    batch path in ``observe_batch`` and the backend mean-shift kernel;
+    everything else calls the kernels unconditionally.
     """
 
     name: str = "default"
@@ -157,35 +159,6 @@ class ArrayBackend:
         self.scratch.begin_step()
 
     # --- weight path -----------------------------------------------------------
-
-    def reweight(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        observed_cpm: float,
-        sensor_x: float,
-        sensor_y: float,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: np.ndarray | float = 0.0,
-        credibility_weight: float = 1.0,
-    ) -> None:
-        """One measurement's Bayesian weight update (reference float64)."""
-        from repro.core.weighting import reweight_in_place
-
-        reweight_in_place(
-            particles,
-            indices,
-            observed_cpm,
-            sensor_x,
-            sensor_y,
-            efficiency=efficiency,
-            background_cpm=background_cpm,
-            under_prediction_tempering=under_prediction_tempering,
-            interference_cpm=interference_cpm,
-            credibility_weight=credibility_weight,
-        )
 
     def log_likelihood_batch(
         self,
@@ -208,26 +181,26 @@ class ArrayBackend:
         of the reading under each selected particle's single-source
         hypothesis, at the *current* positions.  Work is proportional to
         the total disc size, not readings x particles.  The reference
-        implementation loops the per-sensor kernel; accelerated backends
-        compute every disc in one fused pass and are parity-tested
-        against this.
+        loops the readings in float64; accelerated backends compute every
+        disc in one fused pass and are parity-tested against this.
         """
-        from repro.core.weighting import tempered_poisson_log_likelihood
-        from repro.physics.intensity import expected_cpm_free_space
+        from repro.core.weighting import (
+            expected_rates_for_particles,
+            tempered_poisson_log_likelihood,
+        )
 
         sensor_x = np.asarray(sensor_x, dtype=float)
         sensor_y = np.asarray(sensor_y, dtype=float)
         counts = np.asarray(counts, dtype=float)
         out = []
         for b, indices in enumerate(subsets):
-            rates = expected_cpm_free_space(
+            rates = expected_rates_for_particles(
+                particles,
+                indices,
                 float(sensor_x[b]),
                 float(sensor_y[b]),
-                particles.xs[indices],
-                particles.ys[indices],
-                particles.strengths[indices],
-                efficiency=efficiency,
-                background_cpm=background_cpm,
+                efficiency,
+                background_cpm,
             )
             if interference_cpm is not None:
                 rates = rates + float(interference_cpm[b])
@@ -235,6 +208,8 @@ class ArrayBackend:
                 float(counts[b]), rates, under_prediction_tempering
             )
             if credibility_weights is not None and credibility_weights[b] != 1.0:
+                # -inf (impossible hypothesis) stays -inf at any trust
+                # level; scaling it directly would give nan at weight 0.
                 log_like = np.where(
                     np.isfinite(log_like),
                     float(credibility_weights[b]) * log_like,
@@ -252,11 +227,12 @@ class ArrayBackend:
         """Apply one precomputed likelihood vector to the selected subset.
 
         ``log_like`` is aligned with ``indices`` (one entry of
-        :meth:`log_likelihood_batch`'s result).  Mirrors
-        ``reweight_in_place`` exactly (subset-mass preservation,
-        degenerate-subset backfill, all-impossible early return, relative
-        floor) but takes the log-likelihood as data instead of computing
-        it -- the composition point of the fused batch update.
+        :meth:`log_likelihood_batch`'s result).  The subset's total mass
+        is preserved; a fully deflated subset is first backfilled with an
+        even share; a reading every hypothesis finds impossible keeps the
+        prior; posteriors are clamped at :data:`RELATIVE_FLOOR` of the
+        subset's peak.  ``reweight_in_place`` and the fused batch path
+        both end here.
         """
         from repro.core.weighting import RELATIVE_FLOOR
 
@@ -312,32 +288,9 @@ class ArrayBackend:
             "use the meanshift module drivers"
         )
 
-    # --- ground-truth transport -------------------------------------------------
 
-    def source_intensity_fold(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        sources: Sequence,
-        exponents: np.ndarray,
-    ) -> np.ndarray:
-        """Total attenuated intensity of all sources at each point.
-
-        The inner fold of :func:`repro.physics.intensity.batched_expected_cpm`
-        (before the CPM conversion / efficiency / background affine).  The
-        reference left-fold accumulates sources in order, matching the
-        scalar summation bitwise.
-        """
-        total = np.zeros(len(xs), dtype=float)
-        for j, source in enumerate(sources):
-            dx = xs - source.x
-            dy = ys - source.y
-            total += (
-                source.strength
-                / (1.0 + dx * dx + dy * dy)
-                * np.exp(-exponents[:, j])
-            )
-        return total
+#: The float64 reference kernels, for callers handed no backend.
+REFERENCE_BACKEND = ArrayBackend()
 
 
 class NumpyBackend(ArrayBackend):
@@ -373,13 +326,13 @@ class FastNumpyBackend(ArrayBackend):
 
     def _position_mirrors(
         self, particles: "ParticleSet"
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float32 copies of xs/ys/strengths, synced by position revision.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Float32 copies of xs/ys for mean-shift, synced by position revision.
 
-        Positions and strengths only mutate together (movement, resample,
-        injection -- all ``mark_moved``), so one revision key covers all
-        three.  Sync is a cast-copy into the same scratch buffers: zero
-        allocations once warmed up.
+        Positions only mutate under ``mark_moved`` (movement, resample,
+        injection), so the position revision keys the mirror.  Sync is a
+        cast-copy into the same scratch buffers: zero allocations once
+        warmed up.
         """
         scratch = self.scratch
         n = len(particles)
@@ -387,165 +340,15 @@ class FastNumpyBackend(ArrayBackend):
             scratch.reserve_hint = n
         xs32 = scratch.get("mirror.xs", (n,), np.float32)
         ys32 = scratch.get("mirror.ys", (n,), np.float32)
-        st32 = scratch.get("mirror.strengths", (n,), np.float32)
         revision = particles._position_revision
         if revision != self._mirror_revision or n != self._mirror_size:
             np.copyto(xs32, particles.xs)
             np.copyto(ys32, particles.ys)
-            np.copyto(st32, particles.strengths)
             self._mirror_revision = revision
             self._mirror_size = n
-        return xs32, ys32, st32
+        return xs32, ys32
 
     # --- weight path -----------------------------------------------------------
-
-    def reweight(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        observed_cpm: float,
-        sensor_x: float,
-        sensor_y: float,
-        efficiency: float = 1.0,
-        background_cpm: float = 0.0,
-        under_prediction_tempering: float = 1.0,
-        interference_cpm: np.ndarray | float = 0.0,
-        credibility_weight: float = 1.0,
-    ) -> None:
-        if not 0.0 <= credibility_weight <= 1.0:
-            raise ValueError(
-                f"credibility_weight must be in [0, 1], got {credibility_weight}"
-            )
-        m = len(indices)
-        if m == 0:
-            return
-        particles.mark_reweighted()
-        scratch = self.scratch
-        prior = scratch.get("rw.prior", (m,), np.float64)
-        np.take(particles.weights, indices, out=prior)
-        subset_mass = float(prior.sum())
-        if subset_mass <= 0:
-            subset_mass = m / len(particles)
-            particles.weights[indices] = subset_mass / m
-            prior.fill(subset_mass / m)
-        log_like = self._subset_log_likelihood(
-            particles,
-            indices,
-            observed_cpm,
-            sensor_x,
-            sensor_y,
-            efficiency,
-            background_cpm,
-            under_prediction_tempering,
-            interference_cpm,
-        )
-        if credibility_weight != 1.0:
-            scaled = scratch.get("rw.cred", (m,), np.float32)
-            np.multiply(log_like, np.float32(credibility_weight), out=scaled)
-            finite32 = scratch.get("rw.finite32", (m,), bool)
-            np.isfinite(log_like, out=finite32)
-            np.copyto(log_like, scaled, where=finite32)
-        self._apply_posterior(particles, indices, prior, log_like, subset_mass)
-
-    def _subset_log_likelihood(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        count: float,
-        sensor_x: float,
-        sensor_y: float,
-        efficiency: float,
-        background_cpm: float,
-        tempering: float,
-        interference_cpm: np.ndarray | float,
-    ) -> np.ndarray:
-        """Tempered Poisson log-likelihood of the subset, fused in float32."""
-        scratch = self.scratch
-        m = len(indices)
-        xs32, ys32, st32 = self._position_mirrors(particles)
-        d_sq = scratch.get("rw.dsq", (m,), np.float32)
-        tmp = scratch.get("rw.tmp", (m,), np.float32)
-        np.take(xs32, indices, out=d_sq)
-        np.subtract(d_sq, np.float32(sensor_x), out=d_sq)
-        np.multiply(d_sq, d_sq, out=d_sq)
-        np.take(ys32, indices, out=tmp)
-        np.subtract(tmp, np.float32(sensor_y), out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(d_sq, tmp, out=d_sq)
-        np.add(d_sq, np.float32(1.0), out=d_sq)
-        rates = scratch.get("rw.rates", (m,), np.float32)
-        np.take(st32, indices, out=rates)
-        np.divide(rates, d_sq, out=rates)
-        np.multiply(
-            rates, np.float32(CPM_PER_MICROCURIE * efficiency), out=rates
-        )
-        offset = background_cpm
-        if np.ndim(interference_cpm) == 0:
-            offset = background_cpm + float(interference_cpm)
-            np.add(rates, np.float32(offset), out=rates)
-        else:
-            np.add(rates, np.float32(background_cpm), out=rates)
-            intf = scratch.get("rw.intf", (m,), np.float32)
-            np.copyto(intf, interference_cpm)
-            np.add(rates, intf, out=rates)
-        log_like = scratch.get("rw.ll", (m,), np.float32)
-        positive = scratch.get("rw.positive", (m,), bool)
-        np.greater(rates, 0.0, out=positive)
-        log_gamma = float(gammaln(count + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(rates, out=log_like, where=positive)
-        np.multiply(log_like, np.float32(count), out=log_like, where=positive)
-        np.subtract(log_like, rates, out=log_like, where=positive)
-        np.subtract(
-            log_like, np.float32(log_gamma), out=log_like, where=positive
-        )
-        zero_rate_fill = np.float32(0.0 if count == 0 else -np.inf)
-        np.logical_not(positive, out=positive)
-        np.copyto(log_like, zero_rate_fill, where=positive)
-        if tempering < 1.0:
-            at_count = (
-                count * np.log(count) - count - log_gamma if count > 0 else 0.0
-            )
-            under = positive  # reuse: positive mask is spent
-            np.less(rates, np.float32(count), out=under)
-            tempered = scratch.get("rw.tempered", (m,), np.float32)
-            np.multiply(log_like, np.float32(tempering), out=tempered)
-            np.add(
-                tempered,
-                np.float32((1.0 - tempering) * at_count),
-                out=tempered,
-            )
-            np.copyto(log_like, tempered, where=under)
-        return log_like
-
-    def _apply_posterior(
-        self,
-        particles: "ParticleSet",
-        indices: np.ndarray,
-        prior: np.ndarray,
-        log_like: np.ndarray,
-        subset_mass: float,
-    ) -> None:
-        """Shared tail of the weight update: prior + likelihood -> weights."""
-        from repro.core.weighting import RELATIVE_FLOOR
-
-        scratch = self.scratch
-        m = len(indices)
-        log_post = scratch.get("rw.logpost", (m,), np.float64)
-        with np.errstate(divide="ignore"):
-            np.log(prior, out=log_post)
-        log_post += log_like
-        finite = scratch.get("rw.finite", (m,), bool)
-        np.isfinite(log_post, out=finite)
-        if not finite.any():
-            return
-        peak = float(np.max(log_post, initial=-np.inf, where=finite))
-        np.subtract(log_post, peak, out=log_post)
-        np.maximum(log_post, np.log(RELATIVE_FLOOR), out=log_post)
-        np.exp(log_post, out=log_post)
-        total = float(log_post.sum())
-        np.multiply(log_post, subset_mass / total, out=log_post)
-        particles.weights[indices] = log_post
 
     def log_likelihood_batch(
         self,
@@ -568,7 +371,7 @@ class FastNumpyBackend(ArrayBackend):
         reading map), so the cost is the total disc size.  Quarantined
         readings never reach this kernel (the localizer drops them during
         admission), and per-row credibility weights compose here exactly
-        as in the scalar path.  The returned arrays are views of one
+        as in the reference.  The returned arrays are views of one
         scratch buffer -- consume them before the next batch call.
         """
         n_delivered = len(subsets)
@@ -677,19 +480,38 @@ class FastNumpyBackend(ArrayBackend):
         indices: np.ndarray,
         log_like: np.ndarray,
     ) -> None:
+        """The reference update on one float64 scratch buffer.
+
+        The prior is gathered into the buffer, which then holds the log
+        posterior and finally the posterior, so a warm update allocates
+        nothing.
+        """
+        from repro.core.weighting import RELATIVE_FLOOR
+
         m = len(indices)
         if m == 0:
             return
         particles.mark_reweighted()
-        scratch = self.scratch
-        prior = scratch.get("rw.prior", (m,), np.float64)
-        np.take(particles.weights, indices, out=prior)
-        subset_mass = float(prior.sum())
+        post = self.scratch.get("apply.post", (m,), np.float64)
+        np.take(particles.weights, indices, out=post)
+        subset_mass = float(post.sum())
         if subset_mass <= 0:
             subset_mass = m / len(particles)
             particles.weights[indices] = subset_mass / m
-            prior.fill(subset_mass / m)
-        self._apply_posterior(particles, indices, prior, log_like, subset_mass)
+            post.fill(subset_mass / m)
+        with np.errstate(divide="ignore"):
+            np.log(post, out=post)
+        post += log_like
+        finite = self.scratch.get("apply.finite", (m,), bool)
+        np.isfinite(post, out=finite)
+        if not finite.any():
+            return
+        peak = float(np.max(post, initial=-np.inf, where=finite))
+        np.subtract(post, peak, out=post)
+        np.maximum(post, np.log(RELATIVE_FLOOR), out=post)
+        np.exp(post, out=post)
+        np.multiply(post, subset_mass / float(post.sum()), out=post)
+        particles.weights[indices] = post
 
     # --- resampling ------------------------------------------------------------
 
@@ -759,7 +581,7 @@ class FastNumpyBackend(ArrayBackend):
         gather_radius = radius + margin
         inv_two_h_sq = np.float32(0.5 / (bandwidth * bandwidth))
         tol = config.meanshift_tol
-        xs32, ys32, _ = self._position_mirrors(particles)
+        xs32, ys32 = self._position_mirrors(particles)
         w32 = scratch.get("ms.w32", (len(particles),), np.float32)
         np.copyto(w32, weights)
 
@@ -1071,24 +893,3 @@ class FastNumpyBackend(ArrayBackend):
             stats["candidates"] = candidates_total
             stats["merges"] = merges
         return modes, densities
-
-    # --- ground-truth transport -------------------------------------------------
-
-    def source_intensity_fold(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        sources: Sequence,
-        exponents: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized fold: all sources in one broadcasted float32 pass."""
-        if not len(sources):
-            return np.zeros(len(xs), dtype=float)
-        sx = np.array([s.x for s in sources], dtype=np.float32)
-        sy = np.array([s.y for s in sources], dtype=np.float32)
-        strength = np.array([s.strength for s in sources], dtype=np.float32)
-        dx = np.asarray(xs, dtype=np.float32)[:, None] - sx[None, :]
-        dy = np.asarray(ys, dtype=np.float32)[:, None] - sy[None, :]
-        contributions = strength[None, :] / (1.0 + dx * dx + dy * dy)
-        contributions *= np.exp(-exponents.astype(np.float32))
-        return contributions.sum(axis=1, dtype=np.float64)

@@ -311,8 +311,8 @@ class MultiSourceLocalizer:
     def observe_batch(self, measurements: Sequence[Measurement]) -> None:
         """Consume one step's delivered measurements, fused when possible.
 
-        With an accelerated backend (and no movement model or tracing),
-        the per-sensor weight-path loop collapses into batched fused
+        With an accelerated backend and no movement model, the
+        per-sensor weight-path loop collapses into batched fused
         likelihood passes of :data:`FUSED_CHUNK` readings each: within a
         chunk, admission (integrity scoring, quarantine drops, echo-EMA
         updates, fusion selection) runs per reading in delivery order,
@@ -328,17 +328,16 @@ class MultiSourceLocalizer:
         accuracy stays in the same approximation class as the truncated
         mean-shift kernel, covered by the tolerance parity suite.
 
-        Everything else (default backend, movement models, tracing, a
-        batch of one) falls back to the exact sequential :meth:`observe`
-        loop, which is bitwise-identical to calling it yourself.
+        The default backend and movement models run the sequential
+        :meth:`observe` loop, which is bitwise-identical to calling it
+        yourself.  The path depends only on the backend and the movement
+        model: tracing, metrics, the flight recorder and the ledger
+        observe either path without rerouting it, so an instrumented run
+        computes what a plain one does.  A traced fused run emits one
+        ``iteration`` event per chunk (see :meth:`_observe_batch_fused`).
         """
         measurements = list(measurements)
-        if (
-            not self.backend.accelerated
-            or self.movement_model is not None
-            or self.tracer.enabled
-            or len(measurements) <= 1
-        ):
+        if not self.backend.accelerated or self.movement_model is not None:
             for measurement in measurements:
                 self.observe(measurement)
             return
@@ -346,11 +345,24 @@ class MultiSourceLocalizer:
             self._observe_batch_fused(measurements[start:start + FUSED_CHUNK])
 
     def _observe_batch_fused(self, measurements: List[Measurement]) -> None:
-        """The accelerated :meth:`observe_batch` body (backend-gated)."""
+        """The accelerated :meth:`observe_batch` body (backend-gated).
+
+        With an enabled tracer, one ``iteration`` event covers the chunk:
+        ``readings`` (the admitted readings, one per sequential-loop
+        event), the summed ``touched`` / ``resampled`` / ``duplicates`` /
+        ``injected`` counts, ESS before and after, and ``select`` /
+        ``weight`` / ``resample`` phases that sum to ``total_seconds``.
+        Like :meth:`observe_reading`, the null tracer reads no clocks and
+        computes no ESS.
+        """
         config = self.config
         backend = self.backend
         metrics = self.metrics
+        traced = self.tracer.enabled
         backend.begin_step()
+        if traced:
+            ess_before = self.particles.effective_sample_size()
+            t_start = perf_counter()
         self._in_observe = True
         try:
             # Phase A -- admission, per reading in delivery order, against
@@ -380,7 +392,10 @@ class MultiSourceLocalizer:
                 admitted.append(
                     (m, fusion_range, indices, interference, credibility_weight)
                 )
+            if traced:
+                t_select = t_weight = perf_counter()
 
+            resampled = duplicates = injected = 0
             if admitted:
                 # Phase B -- one fused likelihood pass over the chunk's
                 # disc rows (each reading's selection, laid end to end).
@@ -413,6 +428,8 @@ class MultiSourceLocalizer:
                         self.particles, entry[2], disc_log_like
                     )
                     self.particles.normalize()
+                if traced:
+                    t_weight = perf_counter()
                 # Phase D -- resample each reading's region in delivery
                 # order, re-querying membership against the now-current
                 # population (earlier resamples move particles in and out).
@@ -437,13 +454,31 @@ class MultiSourceLocalizer:
                         backend=backend,
                     )
                     self.particles.normalize()
-                    if metrics.enabled:
-                        metrics.counter("localizer.resampled_particles").inc(
-                            stats.n_resampled
-                        )
-                        metrics.counter("localizer.injected_particles").inc(
-                            stats.n_injected
-                        )
+                    resampled += stats.n_resampled
+                    duplicates += stats.n_duplicates
+                    injected += stats.n_injected
+                if metrics.enabled:
+                    metrics.counter("localizer.resampled_particles").inc(resampled)
+                    metrics.counter("localizer.injected_particles").inc(injected)
+            if traced and screened:
+                t_end = perf_counter()
+                self.tracer.emit(
+                    "iteration",
+                    iteration=self.iteration,
+                    readings=len(screened),
+                    touched=sum(len(entry[2]) for entry in admitted),
+                    ess_before=float(ess_before),
+                    ess_after=float(self.particles.effective_sample_size()),
+                    resampled=resampled,
+                    duplicates=duplicates,
+                    injected=injected,
+                    phases={
+                        "select": t_select - t_start,
+                        "weight": t_weight - t_select,
+                        "resample": t_end - t_weight,
+                    },
+                    total_seconds=t_end - t_start,
+                )
             if metrics.enabled:
                 metrics.gauge("localizer.ess").set(
                     self.particles.effective_sample_size()

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.core.backend import REFERENCE_BACKEND
 from repro.core.config import LocalizerConfig
 from repro.core.particles import ParticleSet
 
@@ -46,19 +47,17 @@ def systematic_resample_indices(
     Systematic resampling uses a single uniform offset and a stratified
     comb, giving lower Monte-Carlo variance than independent multinomial
     draws -- the standard choice in particle filtering.
-    Falls back to uniform if the weights are degenerate.  An accelerated
-    ``backend`` supplies the prefix-sum from reusable scratch (the comb
-    itself stays float64 so the drawn indices stay exact).
+    Falls back to uniform if the weights are degenerate.  ``backend``
+    supplies the prefix-sum (the reference one when None); the comb
+    itself stays float64 so the drawn indices stay exact.
     """
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0 or not np.isfinite(total):
         return rng.integers(0, len(weights), size=n)
-    if backend is not None and backend.accelerated:
-        cumulative = backend.prefix_sum(weights, total)
-    else:
-        cumulative = np.cumsum(weights / total)
-        cumulative[-1] = 1.0  # guard against floating-point undershoot
+    if backend is None:
+        backend = REFERENCE_BACKEND
+    cumulative = backend.prefix_sum(weights, total)
     comb = (rng.uniform() + np.arange(n)) / n
     return np.searchsorted(cumulative, comb)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core.backend import REFERENCE_BACKEND
 from repro.core.particles import ParticleSet
 from repro.physics.intensity import expected_cpm_free_space
 
@@ -118,7 +119,7 @@ def reweight_in_place(
     efficiency: float = 1.0,
     background_cpm: float = 0.0,
     under_prediction_tempering: float = 1.0,
-    interference_cpm: np.ndarray | float = 0.0,
+    interference_cpm: float = 0.0,
     credibility_weight: float = 1.0,
     backend=None,
 ) -> None:
@@ -131,73 +132,38 @@ def reweight_in_place(
     discussion of this design point; the ablation
     ``resample_weight_mode="preserve"`` explores the alternative).
 
+    ``interference_cpm`` is the expected contribution of *other,
+    already-estimated sources* at this sensor (see
+    ``MultiSourceLocalizer._interference_for``): it raises each particle's
+    expected rate so that readings elevated by distant known sources stop
+    supporting phantom local hypotheses.
+
     ``credibility_weight`` tempers the whole likelihood (``L^w``) for
     readings from suspect sensors (see :mod:`repro.core.integrity`): 1.0
     is full trust, values toward 0 flatten the update so the reading
     barely moves the particles.
 
-    ``backend`` routes the update through an accelerated
-    :class:`repro.core.backend.ArrayBackend` kernel when one is supplied
-    and accelerated; the default (and any non-accelerated backend) runs
-    the float64 reference body below unchanged.
+    The update is a batch of one through ``backend``'s two weight-path
+    kernels (``log_likelihood_batch`` then ``apply_log_likelihood``); the
+    float64 reference :class:`repro.core.backend.ArrayBackend` runs it
+    when ``backend`` is None.
     """
-    if backend is not None and backend.accelerated:
-        backend.reweight(
-            particles,
-            indices,
-            observed_cpm,
-            sensor_x,
-            sensor_y,
-            efficiency=efficiency,
-            background_cpm=background_cpm,
-            under_prediction_tempering=under_prediction_tempering,
-            interference_cpm=interference_cpm,
-            credibility_weight=credibility_weight,
-        )
-        return
     if not 0.0 <= credibility_weight <= 1.0:
         raise ValueError(
             f"credibility_weight must be in [0, 1], got {credibility_weight}"
         )
-    if len(indices) == 0:
-        return
-    # Every path below (including the degenerate-subset backfill and the
-    # all-impossible early return) may touch the weights: bump once here.
-    particles.mark_reweighted()
-    subset_mass = float(particles.weights[indices].sum())
-    if subset_mass <= 0:
-        # Subset was fully deflated at some earlier point; give it an even
-        # share so the likelihood can act on it again.
-        subset_mass = len(indices) / len(particles)
-        particles.weights[indices] = subset_mass / len(indices)
-
-    rates = expected_rates_for_particles(
-        particles, indices, sensor_x, sensor_y, efficiency, background_cpm
+    if backend is None:
+        backend = REFERENCE_BACKEND
+    (log_like,) = backend.log_likelihood_batch(
+        particles,
+        [indices],
+        np.array([sensor_x], dtype=float),
+        np.array([sensor_y], dtype=float),
+        np.array([observed_cpm], dtype=float),
+        efficiency=efficiency,
+        background_cpm=background_cpm,
+        under_prediction_tempering=under_prediction_tempering,
+        interference_cpm=np.array([interference_cpm], dtype=float),
+        credibility_weights=np.array([credibility_weight], dtype=float),
     )
-    # Expected contribution of *other already-estimated sources* at this
-    # sensor (see MultiSourceLocalizer._interference_for): raises each
-    # particle's expected rate so that readings elevated by distant known
-    # sources stop supporting phantom local hypotheses.
-    rates = rates + np.asarray(interference_cpm, dtype=float)
-    log_like = tempered_poisson_log_likelihood(
-        observed_cpm, rates, under_prediction_tempering
-    )
-    if credibility_weight != 1.0:
-        # -inf (impossible hypothesis) stays -inf at any trust level;
-        # scaling it directly would produce nan at weight 0.
-        log_like = np.where(
-            np.isfinite(log_like), credibility_weight * log_like, log_like
-        )
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(particles.weights[indices])
-    log_post = log_like + log_prior
-
-    finite = np.isfinite(log_post)
-    if not np.any(finite):
-        # Every hypothesis is impossible under this reading (e.g. count > 0
-        # with a zero-rate model).  Keep the prior rather than zeroing.
-        return
-    peak = log_post[finite].max()
-    posterior = np.exp(np.maximum(log_post - peak, np.log(RELATIVE_FLOOR)))
-    posterior_sum = posterior.sum()
-    particles.weights[indices] = posterior * (subset_mass / posterior_sum)
+    backend.apply_log_likelihood(particles, indices, log_like)

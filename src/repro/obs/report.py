@@ -57,6 +57,8 @@ class TraceSummary:
 
     n_events: int = 0
     n_runs: int = 0
+    #: Localizer iterations (readings): an ``iteration`` event counts as
+    #: its ``readings`` field (one fused chunk), else as one.
     n_iterations: int = 0
     n_extracts: int = 0
     n_steps: int = 0
@@ -190,20 +192,21 @@ def _ingest_iteration(summary: TraceSummary, event: Dict) -> None:
         touched = int(touched)
     resampled = int(event.get("resampled", 0))
     injected = int(event.get("injected", 0))
-    summary.n_iterations += 1
+    readings = int(event.get("readings", 1))
+    summary.n_iterations += readings
     phases = event.get("phases")
     if phases:
-        summary.iterations_with_phases += 1
+        summary.iterations_with_phases += readings
         _add_phases(summary, phases, ITERATION_PHASES)
     summary.total_measured_seconds += total_seconds
     if touched is not None:
-        summary.iterations_with_touched += 1
+        summary.iterations_with_touched += readings
         summary.touched_total += touched
         summary.touched_max = max(summary.touched_max, touched)
         if touched == 0:
             summary.empty_subsets += 1
     if event.get("ess_before") is not None and event.get("ess_after") is not None:
-        summary.iterations_with_ess += 1
+        summary.iterations_with_ess += readings
     summary.particles_resampled += resampled
     summary.particles_injected += injected
 

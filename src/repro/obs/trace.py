@@ -12,9 +12,12 @@ Event vocabulary (the authoritative schema is docs/OBSERVABILITY.md):
 ``run_start`` / ``run_end``
     One run of a scenario (emitted by the simulation runner).
 ``iteration``
-    One ``MultiSourceLocalizer.observe()`` call: touched-subset size,
-    ESS before/after, resample/injection counts, and per-phase seconds
-    (``select``, ``predict``, ``weight``, ``resample``).
+    One ``MultiSourceLocalizer.observe()`` call on the sequential loop:
+    touched-subset size, ESS before/after, resample/injection counts,
+    and per-phase seconds (``select``, ``predict``, ``weight``,
+    ``resample``).  On the fused path one event covers a chunk: it adds
+    ``readings`` and sums the counts over them, with ``select`` /
+    ``weight`` / ``resample`` phases.
 ``extract``
     One mean-shift estimate extraction: seed count, mean-shift sweep
     count, per-phase seconds (``seed``, ``shift``, ``merge``, ``filter``).
@@ -27,7 +30,9 @@ Event vocabulary (the authoritative schema is docs/OBSERVABILITY.md):
 Hot-loop contract: producers check ``tracer.enabled`` *before* reading
 clocks or computing diagnostics, so the default :data:`NULL_TRACER` keeps
 the uninstrumented cost profile -- no ``perf_counter`` calls, no ESS
-computation, no dict building.
+computation, no dict building.  An enabled tracer only observes: it never
+decides which code path runs, so a traced run computes what an untraced
+one does.
 """
 
 from __future__ import annotations

@@ -165,7 +165,6 @@ def batched_expected_cpm(
     efficiency: np.ndarray | float = 1.0,
     background_cpm: np.ndarray | float = 0.0,
     exponents: np.ndarray | None = None,
-    backend=None,
 ) -> np.ndarray:
     """Vectorized Eq. (4): expected CPM at many points, all sources summed.
 
@@ -176,26 +175,20 @@ def batched_expected_cpm(
 
     Sources are accumulated in order with a left fold, matching the scalar
     :func:`expected_cpm` reference summation exactly; obstacle-free rays
-    are bitwise-identical to the scalar path.  An accelerated ``backend``
-    (:mod:`repro.core.backend`) replaces the fold with a single
-    broadcasted pass -- tolerance parity only, so ground-truth transport
-    (the sensor network) never passes one.
+    are bitwise-identical to the scalar path.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     sources = list(sources)
     if exponents is None:
         exponents = attenuation_exponent_matrix(xs, ys, sources, obstacles)
-    if backend is not None and backend.accelerated:
-        total = backend.source_intensity_fold(xs, ys, sources, exponents)
-    else:
-        total = np.zeros(len(xs), dtype=float)
-        for j, source in enumerate(sources):
-            dx = xs - source.x
-            dy = ys - source.y
-            total += (
-                source.strength / (1.0 + dx * dx + dy * dy) * np.exp(-exponents[:, j])
-            )
+    total = np.zeros(len(xs), dtype=float)
+    for j, source in enumerate(sources):
+        dx = xs - source.x
+        dy = ys - source.y
+        total += (
+            source.strength / (1.0 + dx * dx + dy * dy) * np.exp(-exponents[:, j])
+        )
     return (
         CPM_PER_MICROCURIE * np.asarray(efficiency, dtype=float) * total
         + np.asarray(background_cpm, dtype=float)

@@ -1,36 +1,27 @@
 """Instrumentation must not perturb the filter (determinism regression).
 
-A run with tracing and metrics enabled must produce bit-identical
-estimates and StepRecords to the same seed with instrumentation disabled:
-the tracer only reads clocks and emits events, never touches the RNG or
-the particle arrays.
+A run with tracing, metrics, the flight recorder or the ledger enabled
+must produce bit-identical estimates and StepRecords to the same seed
+with instrumentation disabled, on every backend: the attachments only
+read clocks and emit events, never touch the RNG or the particle arrays,
+and never choose which code path runs.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.core.config import LocalizerConfig
 from repro.core.localizer import MultiSourceLocalizer
+from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import InMemorySink
 from repro.obs.trace import Tracer
 from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a
+from repro.sim.serialization import step_record_to_dict
+from repro.sim.session import SessionSpec
 
 SEED = 17
-
-# Tracing forces observe_batch down the sequential loop (the fused
-# accelerated path skips per-reading trace events), and the fast
-# backend's fused batch is tolerance-parity with that loop, not bitwise.
-# So "traced run == plain run" only holds bit-for-bit when the resolved
-# backend is the float64 default.
-requires_default_backend = pytest.mark.skipif(
-    (os.environ.get("REPRO_BACKEND") or "default") != "default",
-    reason="traced runs fall back to the sequential observe loop, which is "
-    "only bitwise-identical to the batch path on the default backend",
-)
 
 
 def _run(tracer=None, metrics=None):
@@ -48,14 +39,12 @@ def assert_runs_identical(plain, instrumented):
         assert a.health == b.health
 
 
-@requires_default_backend
 def test_traced_run_bit_identical_to_plain():
     plain = _run()
     instrumented = _run(tracer=Tracer(InMemorySink()), metrics=MetricsRegistry())
     assert_runs_identical(plain, instrumented)
 
 
-@requires_default_backend
 def test_jsonl_traced_run_bit_identical_to_plain(tmp_path):
     from repro.obs.trace import jsonl_tracer
 
@@ -66,6 +55,51 @@ def test_jsonl_traced_run_bit_identical_to_plain(tmp_path):
     finally:
         tracer.close()
     assert_runs_identical(plain, instrumented)
+
+
+#: Observability attachments of one session, each switchable on its own.
+TOGGLES = ("tracer", "metrics", "flight", "ledger")
+
+
+def _session_records(backend, toggles, tmp_path):
+    """Step records of one scenario-A session opened through SessionSpec.
+
+    The last step snapshots the particle population, so the comparison
+    covers the raw arrays as well as the estimates and metrics.
+    """
+    n_steps = 4
+    spec = SessionSpec(
+        scenario=scenario_a(strengths=(50.0, 50.0), n_time_steps=n_steps),
+        seed=SEED,
+        backend=backend,
+        snapshot_steps=(n_steps - 1,),
+        flight_path=(
+            str(tmp_path / "run.flight.json") if "flight" in toggles else None
+        ),
+    )
+    session = spec.open(
+        tracer=Tracer(InMemorySink()) if "tracer" in toggles else None,
+        metrics=MetricsRegistry() if "metrics" in toggles else None,
+        ledger=Ledger(tmp_path / "ledger") if "ledger" in toggles else None,
+    )
+    records = []
+    for record in session.run().steps:
+        doc = step_record_to_dict(record)
+        del doc["mean_iteration_seconds"]  # wall-clock, not results
+        records.append(doc)
+    return records
+
+
+@pytest.mark.parametrize("backend", ["default", "fast"])
+def test_observability_toggles_do_not_change_results(backend, tmp_path):
+    """{tracer, metrics, flight recorder, ledger}, alone and all together,
+    give the plain run's StepRecords bit for bit on the same backend."""
+    plain = _session_records(backend, (), tmp_path / "plain")
+    for toggles in [(t,) for t in TOGGLES] + [TOGGLES]:
+        instrumented = _session_records(
+            backend, toggles, tmp_path / "-".join(toggles)
+        )
+        assert instrumented == plain, f"{backend} diverged under {toggles}"
 
 
 def test_localizer_population_identical_with_tracing():

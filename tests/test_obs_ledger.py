@@ -21,7 +21,6 @@ PR-3 tracing core:
 
 import json
 import multiprocessing
-import os
 
 import pytest
 
@@ -252,11 +251,6 @@ class TestKilledCellTelemetry:
         real exception, and a bitwise-correct result via retry/fallback."""
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("fault-injection hook needs the fork start method")
-        if (os.environ.get("REPRO_BACKEND") or "default") != "default":
-            # The traced retry runs the sequential observe loop while the
-            # serial reference takes the fused batch path; those are only
-            # bitwise-identical on the default backend.
-            pytest.skip("bitwise retry contract requires the default backend")
         spec = SweepSpec.single(tiny_scenario(), n_repeats=3, base_seed=5)
         sink = InMemorySink()
         failures = []

@@ -20,6 +20,12 @@ from repro.sim.runner import run_scenario
 from repro.sim.scenarios import scenario_a
 
 
+def readings_traced(sink):
+    """Readings covered by the iteration events: one per sequential-loop
+    event, ``readings`` per fused-chunk event."""
+    return sum(e.get("readings", 1) for e in sink.of_type("iteration"))
+
+
 @pytest.fixture(scope="module")
 def traced_run():
     """One short scenario-A run with full instrumentation."""
@@ -72,7 +78,7 @@ class TestRunnerDiagnosticsIntegration:
         [start] = sink.of_type("run_start")
         [end] = sink.of_type("run_end")
         assert start["scenario"] == "A" and start["seed"] == 3
-        assert end["n_iterations"] == len(sink.of_type("iteration"))
+        assert end["n_iterations"] == readings_traced(sink)
         assert end["total_seconds"] > 0
 
     def test_runner_metrics(self, traced_run):
@@ -88,7 +94,7 @@ class TestTraceSummary:
         _result, sink, _registry = traced_run
         summary = summarize_trace(sink.records)
         assert summary.validate() == []
-        assert summary.n_iterations == len(sink.of_type("iteration"))
+        assert summary.n_iterations == readings_traced(sink)
         assert summary.iterations_with_phases == summary.n_iterations
         assert summary.iterations_with_touched == summary.n_iterations
         assert summary.iterations_with_ess == summary.n_iterations

@@ -14,9 +14,14 @@ from repro.obs.sinks import InMemorySink, JsonlSink, NullSink, read_jsonl
 from repro.obs.trace import NULL_TRACER, Tracer, jsonl_tracer
 
 
-def make_localizer(tracer=None, metrics=None, n_particles=400, seed=5):
+def make_localizer(
+    tracer=None, metrics=None, n_particles=400, seed=5, backend=None
+):
     config = LocalizerConfig(
-        area=(100.0, 100.0), n_particles=n_particles, assumed_background_cpm=5.0
+        area=(100.0, 100.0),
+        n_particles=n_particles,
+        assumed_background_cpm=5.0,
+        backend=backend,
     )
     return MultiSourceLocalizer(
         config, rng=np.random.default_rng(seed), tracer=tracer, metrics=metrics
@@ -182,6 +187,18 @@ class TestZeroOverheadContract:
         localizer.observe_reading(50.0, 50.0, 40.0)
         localizer.estimates()
 
+    def test_fused_batch_reads_no_clock_when_untraced(self, monkeypatch):
+        def boom(*_args):
+            raise AssertionError("instrumentation ran on the null path")
+
+        monkeypatch.setattr(localizer_module, "perf_counter", boom)
+        localizer = make_localizer(backend="fast")
+        monkeypatch.setattr(
+            type(localizer.particles), "effective_sample_size", boom
+        )
+        localizer.observe_batch(fused_readings(12))
+        assert localizer.iteration == 12
+
     def test_null_tracer_emit_is_noop_even_with_fields(self):
         NULL_TRACER.emit("iteration", anything=object())  # must not raise
 
@@ -198,3 +215,53 @@ class TestZeroOverheadContract:
         assert len(lines) == 3
         for line in lines:
             json.loads(line)
+
+
+def fused_readings(n):
+    """``n`` readings spread over the area (two fused chunks for n > 8)."""
+    from repro.sensors.measurement import Measurement
+
+    rng = np.random.default_rng(11)
+    return [
+        Measurement(
+            sensor_id=i, x=float(x), y=float(y), cpm=float(rng.poisson(20.0)),
+            time_step=0, sequence=i,
+        )
+        for i, (x, y) in enumerate(rng.uniform(0.0, 100.0, size=(n, 2)))
+    ]
+
+
+class TestFusedTrace:
+    """The fast backend's fused path traces per chunk, without rerouting."""
+
+    def test_chunk_event_schema(self):
+        sink = InMemorySink()
+        localizer = make_localizer(tracer=Tracer(sink), backend="fast")
+        localizer.observe_batch(fused_readings(12))
+        events = sink.of_type("iteration")
+        assert [e["readings"] for e in events] == [8, 4]
+        assert events[-1]["iteration"] == localizer.iteration == 12
+        for event in events:
+            assert set(event["phases"]) == {"select", "weight", "resample"}
+            assert sum(event["phases"].values()) == pytest.approx(
+                event["total_seconds"], rel=1e-9
+            )
+            assert event["touched"] > 0
+            assert event["resampled"] >= event["duplicates"] >= 0
+            assert event["ess_before"] > 0 and event["ess_after"] > 0
+
+    def test_traced_fast_session_report_is_complete(self):
+        from repro.obs.report import summarize_trace
+        from repro.sim.scenarios import scenario_a
+        from repro.sim.session import SessionSpec
+
+        sink = InMemorySink()
+        session = SessionSpec(
+            scenario=scenario_a(n_time_steps=3), seed=2, backend="fast"
+        ).open(tracer=Tracer(sink))
+        session.run()
+        summary = summarize_trace(sink.records)
+        assert summary.validate() == []
+        assert summary.phase_coverage >= 0.99
+        assert summary.n_iterations == session.localizer.iteration
+        assert len(sink.of_type("iteration")) < summary.n_iterations

@@ -296,7 +296,13 @@ class TestSocketTransportHardening:
             )
 
         host, port, thread = _one_shot_server(header_then_reset)
-        source = SocketReplaySource.connect(host, port, read_timeout=2.0)
+        # The RST can reach the client before its connect() returns (the
+        # server accepts, sends and resets without waiting); the dial
+        # must then raise the same typed error the read would.
+        try:
+            source = SocketReplaySource.connect(host, port, read_timeout=2.0)
+        except StreamTransportError:
+            return
         thread.join(timeout=5.0)
         with pytest.raises((StreamTransportError, StreamFormatError)):
             source.read(0)
