@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import os
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -367,56 +368,70 @@ class FastNumpyBackend(ArrayBackend):
 
         The per-sensor Python loop of the reference collapses into flat
         arithmetic over the chunk's disc rows laid end to end, each row
-        carrying its reading's parameters (gathered through a row ->
-        reading map), so the cost is the total disc size.  Quarantined
-        readings never reach this kernel (the localizer drops them during
-        admission), and per-row credibility weights compose here exactly
-        as in the reference.  The returned arrays are views of one
-        scratch buffer -- consume them before the next batch call.
+        carrying its reading's parameters (one ``np.repeat`` of a
+        per-reading float32 table, the one disc-sized array not drawn
+        from the scratch pool), so the cost is the total disc size.
+        Quarantined readings never reach this kernel (the localizer drops
+        them during admission), and per-row credibility weights compose
+        here exactly as in the reference.  The returned arrays are views
+        of one scratch buffer -- consume them before the next batch call.
         """
-        n_delivered = len(subsets)
+        if not subsets:
+            return []
         scratch = self.scratch
         n = len(particles)
         if n > scratch.reserve_hint:
             scratch.reserve_hint = n
         counts = np.asarray(counts, dtype=np.float64)
-        bounds = [0]
-        for subset in subsets:
-            bounds.append(bounds[-1] + len(subset))
-        total = bounds[-1]
+        lengths = [len(subset) for subset in subsets]
+        total = sum(lengths)
         rows = scratch.get("batch.rows", (total,), np.int64)
-        reading = scratch.get("batch.reading", (total,), np.int64)
-        for b, subset in enumerate(subsets):
-            rows[bounds[b]:bounds[b + 1]] = subset
-            reading[bounds[b]:bounds[b + 1]] = b
+        np.concatenate(subsets, out=rows)
 
         gathered = scratch.get("batch.gather", (total,), np.float64)
 
         def gather(values: np.ndarray, out: np.ndarray) -> None:
             """``out[:] = values[rows]``, cast to float32."""
-            np.take(values, rows, out=gathered)
+            values.take(rows, out=gathered)
             np.copyto(out, gathered)
 
-        def spread(key: str, values) -> np.ndarray:
-            """A per-reading float32 parameter, expanded to every disc row."""
-            per_reading = scratch.get(f"batch.{key}", (n_delivered,), np.float32)
-            np.copyto(per_reading, values)
-            expanded = scratch.get(f"batch.{key}.rows", (total,), np.float32)
-            np.take(per_reading, reading, out=expanded)
-            return expanded
-
-        # log Gamma(count + 1) per reading, in float64 (large counts lose
-        # all fractional precision in float32; one tiny host-side vector).
+        # Per-reading parameters, cast to float32 one value at a time and
+        # expanded to every disc row.  log Gamma(count + 1) is taken in
+        # float64 (large counts lose all fractional precision in float32).
         log_gamma = gammaln(counts + 1.0)
-        counts32 = spread("counts", counts)
+        columns = {
+            "counts": counts,
+            "sx": sensor_x,
+            "sy": sensor_y,
+            "lgamma": log_gamma,
+            "fill": np.where(counts == 0.0, 0.0, -np.inf),
+        }
+        if interference_cpm is not None:
+            columns["intf"] = interference_cpm
+        if under_prediction_tempering < 1.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                at_count = np.where(
+                    counts > 0.0,
+                    counts * np.log(np.maximum(counts, 1.0))
+                    - counts
+                    - log_gamma,
+                    0.0,
+                )
+            columns["atcount"] = (1.0 - under_prediction_tempering) * at_count
+        if credibility_weights is not None:
+            columns["cred"] = credibility_weights
+        table = scratch.get("batch.params", (len(columns), len(subsets)), np.float32)
+        for row, values in zip(table, columns.values()):
+            np.copyto(row, values)
+        spread = dict(zip(columns, np.repeat(table, lengths, axis=1)))
 
         d_sq = scratch.get("batch.dsq", (total,), np.float32)
         tmp = scratch.get("batch.tmp", (total,), np.float32)
         gather(particles.xs, d_sq)
-        np.subtract(d_sq, spread("sx", sensor_x), out=d_sq)
+        np.subtract(d_sq, spread["sx"], out=d_sq)
         np.multiply(d_sq, d_sq, out=d_sq)
         gather(particles.ys, tmp)
-        np.subtract(tmp, spread("sy", sensor_y), out=tmp)
+        np.subtract(tmp, spread["sy"], out=tmp)
         np.multiply(tmp, tmp, out=tmp)
         np.add(d_sq, tmp, out=d_sq)
         np.add(d_sq, np.float32(1.0), out=d_sq)
@@ -428,41 +443,27 @@ class FastNumpyBackend(ArrayBackend):
         )
         np.add(rates, np.float32(background_cpm), out=rates)
         if interference_cpm is not None:
-            np.add(rates, spread("intf", interference_cpm), out=rates)
+            np.add(rates, spread["intf"], out=rates)
 
         log_like = d_sq  # 1 + d^2 is spent; reuse as the output
         positive = scratch.get("batch.positive", (total,), bool)
         np.greater(rates, 0.0, out=positive)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(rates, out=log_like, where=positive)
-        np.multiply(log_like, counts32, out=log_like, where=positive)
+        np.multiply(log_like, spread["counts"], out=log_like, where=positive)
         np.subtract(log_like, rates, out=log_like, where=positive)
-        np.subtract(
-            log_like, spread("lgamma", log_gamma), out=log_like, where=positive
-        )
-        fill = spread("fill", np.where(counts == 0.0, 0.0, -np.inf))
+        np.subtract(log_like, spread["lgamma"], out=log_like, where=positive)
         np.logical_not(positive, out=positive)
-        np.copyto(log_like, fill, where=positive)
+        np.copyto(log_like, spread["fill"], where=positive)
 
         if under_prediction_tempering < 1.0:
-            alpha = np.float32(under_prediction_tempering)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                at_count = np.where(
-                    counts > 0.0,
-                    counts * np.log(np.maximum(counts, 1.0))
-                    - counts
-                    - log_gamma,
-                    0.0,
-                )
             under = positive  # spent; reuse as the under-prediction mask
-            np.less(rates, counts32, out=under)
+            np.less(rates, spread["counts"], out=under)
             scaled = rates  # rates are spent after the mask
-            np.multiply(log_like, alpha, out=scaled)
-            np.add(
-                scaled,
-                spread("atcount", (1.0 - under_prediction_tempering) * at_count),
-                out=scaled,
+            np.multiply(
+                log_like, np.float32(under_prediction_tempering), out=scaled
             )
+            np.add(scaled, spread["atcount"], out=scaled)
             np.copyto(log_like, scaled, where=under)
             spare = scaled
         else:
@@ -470,9 +471,10 @@ class FastNumpyBackend(ArrayBackend):
         if credibility_weights is not None:
             finite = positive
             np.isfinite(log_like, out=finite)
-            np.multiply(log_like, spread("cred", credibility_weights), out=spare)
+            np.multiply(log_like, spread["cred"], out=spare)
             np.copyto(log_like, spare, where=finite)
-        return [log_like[bounds[b]:bounds[b + 1]] for b in range(n_delivered)]
+        bounds = [0, *accumulate(lengths)]
+        return [log_like[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     def apply_log_likelihood(
         self,

@@ -9,10 +9,13 @@ half the query radius that is a handful of cells -- per-query cost is
 bounded by the local point density, not the population size, which is
 exactly the cost structure Eq. 5 promises.
 
-The index is CSR-style: one ``argsort`` of the flattened cell ids, after
-which every cell is a contiguous slice of the sort order.  Cells sharing
-a grid column are contiguous in id, so a query resolves one
-``searchsorted`` pair per column instead of one per cell.
+The index is CSR-style: the points sorted by (cell id, index), plus a
+cell-offset table -- cell ``c``'s points are ``order[starts[c]:starts[c + 1]]``.
+Cells sharing a grid column are contiguous in id, so a query reads two
+table entries per column and slices the sort order; no search over the
+population.  A pathologically sparse grid (more cells than a small
+multiple of the points) keeps no table and searches its sorted cell ids
+per column instead.
 
 The exact query (:meth:`query_disc`) applies the true distance test and
 sorts the surviving indices ascending, making the result *bit-identical*
@@ -22,22 +25,27 @@ truncated mean-shift -- that only need a superset cheaply.
 
 :meth:`apply_moves` maintains the index *incrementally*: when only a
 subset of points moved (a selective resample), their rows are re-binned
-by a sorted merge into the existing CSR order instead of re-sorting the
-whole population.  The merged index is array-equal to a from-scratch
-rebuild whenever the grid geometry (origin and cell-span) is unchanged;
-otherwise ``apply_moves`` refuses and the owner falls back to a full
-rebuild.  Between re-bins the owner may keep querying a stale index by
-passing the moved rows to :meth:`query_disc`, which tests them directly
-instead of trusting their old cells.
+by one delete and one sorted merge into the existing order, and the
+offset table is patched from the moved rows' old and new cells.  The
+merged index is array-equal to a from-scratch rebuild whenever the grid
+geometry (origin and cell-span) is unchanged; otherwise ``apply_moves``
+refuses and the owner falls back to a full rebuild.  Between re-bins the
+owner may keep querying a stale index by passing the moved rows to
+:meth:`query_disc`, which tests them directly instead of trusting their
+old cells.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
 
-_INT64_MAX = np.iinfo(np.int64).max
+#: Cells per point (plus a constant) up to which the index keeps a dense
+#: cell-offset table; past it the table would outweigh the population.
+_TABLE_CELLS_PER_POINT = 4
+_TABLE_MIN_CELLS = 4096
 
 
 class SpatialGridIndex:
@@ -52,7 +60,7 @@ class SpatialGridIndex:
 
     __slots__ = (
         "xs", "ys", "cell_size", "x0", "y0", "n_cols", "n_rows",
-        "_order", "_sorted_cids", "_cids", "_sorted_keys",
+        "_order", "_cids", "_shift", "_sorted_keys", "_starts", "_sorted_cids",
         "queries", "candidates_scanned",
     )
 
@@ -76,21 +84,22 @@ class SpatialGridIndex:
         self.n_cols = int(cx.max()) + 1
         self.n_rows = int(cy.max()) + 1
         cids = cx * self.n_rows + cy
-        # Stable sort keeps within-cell indices ascending, so per-cell
-        # slices come out pre-sorted.
-        self._order = np.argsort(cids, kind="stable")
-        self._sorted_cids = cids[self._order]
         self._cids = cids
-        # Composite merge keys: cid * n + index.  Sorting these plain keys
-        # is exactly the stable sort by cid (ties broken by ascending
-        # index), which is what lets apply_moves splice moved rows back in
-        # with two searchsorteds instead of a full argsort.  Skipped when
-        # the key range would overflow int64 (pathologically sparse grids)
-        # -- apply_moves then refuses and the owner rebuilds.
-        if self.n_cols * self.n_rows * len(xs) + len(xs) < _INT64_MAX:
-            self._sorted_keys = self._sorted_cids * np.int64(len(xs)) + self._order
-        else:  # pragma: no cover - needs a degenerate planet-sized extent
-            self._sorted_keys = None
+        n_cells = self.n_cols * self.n_rows
+        if n_cells <= _TABLE_CELLS_PER_POINT * len(xs) + _TABLE_MIN_CELLS:
+            # Composite keys (cid << shift) | index are unique, so a plain
+            # sort of them is the stable sort by cid (within-cell indices
+            # ascending); apply_moves merges moved rows back into them.
+            self._shift = int(len(xs)).bit_length()
+            self._sorted_keys = np.sort((cids << self._shift) | np.arange(len(xs)))
+            self._order = self._sorted_keys & ((1 << self._shift) - 1)
+            self._starts = np.zeros(n_cells + 1, dtype=np.int64)
+            np.cumsum(np.bincount(cids, minlength=n_cells), out=self._starts[1:])
+            self._sorted_cids = None
+        else:
+            self._order = np.argsort(cids, kind="stable")
+            self._sorted_cids = cids[self._order]
+            self._shift = self._sorted_keys = self._starts = None
         #: Query instrumentation (cheap int bumps; read by the localizer's
         #: metrics path, ignored otherwise).  Every query bumps
         #: ``queries`` exactly once and ``candidates_scanned``
@@ -112,48 +121,46 @@ class SpatialGridIndex:
         arrays.  Returns ``False`` -- leaving the index untouched -- when
         the move cannot be expressed as an in-bounds re-bin: the
         population's bounding box or cell-grid shape changed, so only a
-        full rebuild reproduces the constructor's origin and shape.
+        full rebuild reproduces the constructor's origin and shape (or the
+        grid is too sparse to keep an offset table).
         """
-        if self._sorted_keys is None:  # pragma: no cover - overflow guard
+        if self._starts is None:
             return False
         dirty = np.asarray(dirty, dtype=np.int64)
         if len(dirty) == 0:
             return True
         xs = self.xs
         ys = self.ys
-        n = len(xs)
         # The constructor derives origin and shape from the coordinates it
         # sees; the merge is only equivalent when those are unchanged.
         if float(xs.min()) != self.x0 or float(ys.min()) != self.y0:
             return False
         inv = 1.0 / self.cell_size
-        if int(np.floor((xs.max() - self.x0) * inv)) != self.n_cols - 1:
+        if math.floor((float(xs.max()) - self.x0) * inv) != self.n_cols - 1:
             return False
-        if int(np.floor((ys.max() - self.y0) * inv)) != self.n_rows - 1:
+        if math.floor((float(ys.max()) - self.y0) * inv) != self.n_rows - 1:
             return False
         # Origin and extent are intact, so every re-binned cell is in
         # range by construction.
         new_cx = np.floor((xs[dirty] - self.x0) * inv).astype(np.int64)
         new_cy = np.floor((ys[dirty] - self.y0) * inv).astype(np.int64)
         new_cids = new_cx * self.n_rows + new_cy
-        old_keys = self._cids[dirty] * np.int64(n) + dirty
-        new_keys = new_cids * np.int64(n) + dirty
-        # Delete the dirty rows' old keys (exact matches by invariant),
-        # then splice the re-binned keys into the survivors.
-        at = np.searchsorted(self._sorted_keys, old_keys)
-        keep = np.ones(n, dtype=bool)
-        keep[at] = False
-        kept = self._sorted_keys[keep]
-        incoming = np.sort(new_keys)
-        target = np.searchsorted(kept, incoming) + np.arange(len(incoming))
-        merged = np.empty(n, dtype=np.int64)
-        inserted = np.zeros(n, dtype=bool)
-        inserted[target] = True
-        merged[inserted] = incoming
-        merged[~inserted] = kept
+        # Delete the dirty rows' old keys, then merge in their new ones:
+        # two sorted runs, which the stable sort joins in one pass.
+        stale = np.zeros(len(xs), dtype=bool)
+        stale[dirty] = True
+        incoming = np.sort((new_cids << self._shift) | dirty)
+        merged = np.concatenate(
+            (self._sorted_keys[~stale[self._order]], incoming)
+        )
+        merged.sort(kind="stable")
         self._sorted_keys = merged
-        self._sorted_cids = merged // n
-        self._order = merged % n
+        self._order = merged & ((1 << self._shift) - 1)
+        n_cells = len(self._starts) - 1
+        self._starts[1:] += np.cumsum(
+            np.bincount(new_cids, minlength=n_cells)
+            - np.bincount(self._cids[dirty], minlength=n_cells)
+        )
         self._cids[dirty] = new_cids
         return True
 
@@ -164,10 +171,10 @@ class SpatialGridIndex:
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
         inv = 1.0 / self.cell_size
-        cx_lo = int(np.floor((x - radius - self.x0) * inv))
-        cx_hi = int(np.floor((x + radius - self.x0) * inv))
-        cy_lo = int(np.floor((y - radius - self.y0) * inv))
-        cy_hi = int(np.floor((y + radius - self.y0) * inv))
+        cx_lo = math.floor((x - radius - self.x0) * inv)
+        cx_hi = math.floor((x + radius - self.x0) * inv)
+        cy_lo = math.floor((y - radius - self.y0) * inv)
+        cy_hi = math.floor((y + radius - self.y0) * inv)
         if cx_hi < 0 or cy_hi < 0 or cx_lo >= self.n_cols or cy_lo >= self.n_rows:
             return None
         return (
@@ -189,13 +196,24 @@ class SpatialGridIndex:
         if ranges is None:
             return np.empty(0, dtype=np.int64)
         cx_lo, cx_hi, cy_lo, cy_hi = ranges
-        # A fixed column's cy range is one contiguous cell-id interval;
-        # resolve every column's interval with one searchsorted pair.
-        bases = np.arange(cx_lo, cx_hi + 1, dtype=np.int64) * self.n_rows
-        lo = np.searchsorted(self._sorted_cids, bases + cy_lo, side="left")
-        hi = np.searchsorted(self._sorted_cids, bases + cy_hi + 1, side="left")
+        # A fixed column's cy range is one contiguous run of the sort
+        # order: two offset-table reads per column.
+        n_rows = self.n_rows
+        starts = self._starts
+        if starts is None:
+            first = np.arange(cx_lo, cx_hi + 1, dtype=np.int64) * n_rows + cy_lo
+            cids = self._sorted_cids
+            spans = zip(
+                cids.searchsorted(first).tolist(),
+                cids.searchsorted(first + (cy_hi - cy_lo + 1)).tolist(),
+            )
+        else:
+            spans = (
+                (starts[base + cy_lo], starts[base + cy_hi + 1])
+                for base in range(cx_lo * n_rows, cx_hi * n_rows + 1, n_rows)
+            )
         order = self._order
-        slices = [order[l:h] for l, h in zip(lo, hi) if h > l]
+        slices = [order[lo:hi] for lo, hi in spans if hi > lo]
         if not slices:
             return np.empty(0, dtype=np.int64)
         candidates = slices[0] if len(slices) == 1 else np.concatenate(slices)
@@ -227,16 +245,24 @@ class SpatialGridIndex:
         candidates = self.query_candidates(x, y, radius)
         if moved is not None:
             mask, rows = moved
-            candidates = np.concatenate((candidates[~mask[candidates]], rows))
+            unmoved = mask[candidates]
+            np.logical_not(unmoved, out=unmoved)
+            candidates = np.concatenate((candidates[unmoved], rows))
             self.candidates_scanned += len(rows)
         if len(candidates) == 0:
             if stats is not None:
                 stats["candidates"] = 0
                 stats["selected"] = 0
             return candidates
-        dx = self.xs[candidates] - x
-        dy = self.ys[candidates] - y
-        inside = candidates[dx * dx + dy * dy <= radius * radius]
+        # (px - x)^2 + (py - y)^2 in place, the brute-force scan's operands.
+        dx = self.xs[candidates]
+        dx -= x
+        dx *= dx
+        dy = self.ys[candidates]
+        dy -= y
+        dy *= dy
+        dx += dy
+        inside = candidates[dx <= radius * radius]
         inside.sort()
         if stats is not None:
             stats["candidates"] = int(len(candidates))

@@ -12,6 +12,7 @@ in previously written-off regions.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -41,25 +42,34 @@ def systematic_resample_indices(
     n: int,
     rng: np.random.Generator,
     backend=None,
+    total: Optional[float] = None,
 ) -> np.ndarray:
     """Systematic (low-variance) resampling: n draws from ``weights``.
 
     Systematic resampling uses a single uniform offset and a stratified
     comb, giving lower Monte-Carlo variance than independent multinomial
-    draws -- the standard choice in particle filtering.
-    Falls back to uniform if the weights are degenerate.  ``backend``
-    supplies the prefix-sum (the reference one when None); the comb
-    itself stays float64 so the drawn indices stay exact.
+    draws -- the standard choice in particle filtering.  The draws come
+    out nondecreasing.  Falls back to uniform, unsorted draws if the
+    weights are degenerate.  ``backend`` supplies the prefix-sum (the
+    reference one when None); the comb itself stays float64 so the drawn
+    indices stay exact.  ``total`` is ``weights.sum()`` when the caller
+    already has it.
     """
     weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
+    if total is None:
+        total = weights.sum()
+    if not _positive_mass(total):
         return rng.integers(0, len(weights), size=n)
     if backend is None:
         backend = REFERENCE_BACKEND
     cumulative = backend.prefix_sum(weights, total)
     comb = (rng.uniform() + np.arange(n)) / n
-    return np.searchsorted(cumulative, comb)
+    return cumulative.searchsorted(comb)
+
+
+def _positive_mass(total: float) -> bool:
+    """Whether a subset mass takes the systematic (sorted-draw) path."""
+    return total > 0 and math.isfinite(total)
 
 
 def resample_subset(
@@ -96,20 +106,26 @@ def resample_subset(
     subset_weights = particles.weights[indices]
     subset_mass = float(subset_weights.sum())
 
-    drawn = systematic_resample_indices(subset_weights, m, rng, backend=backend)
+    drawn = systematic_resample_indices(
+        subset_weights, m, rng, backend=backend, total=subset_mass
+    )
     source_idx = indices[drawn]
 
-    new_xs = particles.xs[source_idx].copy()
-    new_ys = particles.ys[source_idx].copy()
-    new_strengths = particles.strengths[source_idx].copy()
+    new_xs = particles.xs[source_idx]
+    new_ys = particles.ys[source_idx]
+    new_strengths = particles.strengths[source_idx]
 
     # Jitter duplicates: every appearance of a source particle after its
     # first is perturbed so clones do not collapse to a single point.
-    first_occurrence = np.zeros(m, dtype=bool)
-    _, first_positions = np.unique(drawn, return_index=True)
-    first_occurrence[first_positions] = True
-    dup = ~first_occurrence
-    n_dup = int(dup.sum())
+    # Systematic draws are nondecreasing, so a repeat is a slot equal to
+    # its left neighbour; the degenerate fallback's draws are unsorted.
+    if _positive_mass(subset_mass):
+        dup = (drawn[1:] == drawn[:-1]).nonzero()[0] + 1
+    else:
+        repeat = np.ones(m, dtype=bool)
+        repeat[np.unique(drawn, return_index=True)[1]] = False
+        dup = np.flatnonzero(repeat)
+    n_dup = len(dup)
     if n_dup > 0:
         if config.resample_noise_sigma > 0:
             new_xs[dup] += rng.normal(0.0, config.resample_noise_sigma, size=n_dup)
@@ -145,10 +161,15 @@ def resample_subset(
                 config.strength_min, config.strength_max, size=n_inject
             )
 
-    # Clamp into the physical domain.
-    np.clip(new_xs, 0.0, config.area[0], out=new_xs)
-    np.clip(new_ys, 0.0, config.area[1], out=new_ys)
-    np.clip(new_strengths, config.strength_min, config.strength_max, out=new_strengths)
+    # Clamp into the physical domain (np.clip's wrapper costs more than
+    # the two ufuncs on a disc-sized array).
+    for values, lo, hi in (
+        (new_xs, 0.0, config.area[0]),
+        (new_ys, 0.0, config.area[1]),
+        (new_strengths, config.strength_min, config.strength_max),
+    ):
+        np.maximum(values, lo, out=values)
+        np.minimum(values, hi, out=values)
 
     particles.xs[indices] = new_xs
     particles.ys[indices] = new_ys

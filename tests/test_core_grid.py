@@ -13,6 +13,15 @@ def build(points, cell=5.0):
     return SpatialGridIndex(points[:, 0], points[:, 1], cell)
 
 
+def index_state(index):
+    """Copies of everything an index derives from its coordinates."""
+    return {
+        name: np.copy(getattr(index, name))
+        for name in SpatialGridIndex.__slots__
+        if name not in ("xs", "ys", "queries", "candidates_scanned")
+    }
+
+
 class TestConstruction:
     def test_rejects_bad_cell_size(self):
         with pytest.raises(ValueError):
@@ -239,10 +248,7 @@ class TestIncrementalMaintenance:
 
     @staticmethod
     def _assert_index_equal(index, fresh):
-        np.testing.assert_array_equal(index._order, fresh._order)
-        np.testing.assert_array_equal(index._sorted_cids, fresh._sorted_cids)
-        np.testing.assert_array_equal(index._sorted_keys, fresh._sorted_keys)
-        np.testing.assert_array_equal(index._cids, fresh._cids)
+        np.testing.assert_equal(index_state(index), index_state(fresh))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_moved=st.integers(1, 80))
@@ -434,3 +440,107 @@ class TestDeferredQueries:
             )
         assert particles.grid_rebuilds == 1
         assert particles.grid_incremental_updates <= 1
+
+
+class TestOffsetTable:
+    """The cell-offset table under random re-bins, refusals and rebuilds.
+
+    One index is driven through ``apply_moves`` directly.  After every
+    step it must equal a fresh build over the current coordinates, its
+    table must slice the sort order into exactly each cell's rows, and
+    every query -- with the moved rows passed to a stale index, and on
+    the re-binned one -- must equal the brute-force scan.
+    """
+
+    N = 300
+
+    @staticmethod
+    def _brute(xs, ys, x, y, radius):
+        return ParticleSet(xs, ys, np.ones(len(xs))).indices_within(x, y, radius)
+
+    @staticmethod
+    def _assert_table(index):
+        starts = index._starts
+        n_cells = index.n_cols * index.n_rows
+        assert len(starts) == n_cells + 1
+        assert starts[0] == 0 and starts[-1] == len(index)
+        cells = np.repeat(np.arange(n_cells), np.diff(starts))
+        np.testing.assert_array_equal(index._cids[index._order], cells)
+        for c in np.flatnonzero(np.diff(starts)):
+            assert np.all(np.diff(index._order[starts[c]:starts[c + 1]]) > 0)
+
+    def _assert_queries(self, index, rng, moved=None):
+        """Disc queries equal brute force; unmoved, candidates equal a
+        fresh build's."""
+        if moved is None:
+            fresh = SpatialGridIndex(index.xs.copy(), index.ys.copy(), index.cell_size)
+        for x, y, radius in [
+            (*rng.uniform(-10, 110, 2), float(rng.uniform(0, 30))),
+            (*rng.uniform(0, 100, 2), float(rng.uniform(0, 8))),
+            (index.xs[7], index.ys[7], 0.0),
+            (50.0, 50.0, 500.0),
+            (-400.0, 40.0, 20.0),
+        ]:
+            brute = self._brute(index.xs, index.ys, x, y, radius)
+            np.testing.assert_array_equal(
+                index.query_disc(x, y, radius, moved=moved), brute
+            )
+            if moved is None:
+                np.testing.assert_array_equal(
+                    index.query_candidates(x, y, radius),
+                    fresh.query_candidates(x, y, radius),
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), cell=st.sampled_from([3.0, 7.0, 12.5]))
+    def test_random_rebins_refusals_and_rebuilds(self, seed, cell):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0, 100, self.N)
+        ys = rng.uniform(0, 100, self.N)
+        xs[:2] = ys[:2] = (0.0, 100.0)  # bounding-box holders
+        index = SpatialGridIndex(xs, ys, cell)
+        for _ in range(20):
+            kind = rng.choice(["move", "move", "move", "refuse", "rebuild"])
+            if kind == "rebuild":
+                index = SpatialGridIndex(xs, ys, cell)
+            else:
+                n_moved = int(rng.integers(1, 90))
+                rows = np.sort(rng.choice(np.arange(2, self.N), n_moved, replace=False))
+                if kind == "refuse":
+                    rows[0] = 0  # move the bbox-min holder inward
+                xs[rows] = rng.uniform(1, 99, len(rows))
+                ys[rows] = rng.uniform(1, 99, len(rows))
+                mask = np.zeros(self.N, dtype=bool)
+                mask[rows] = True
+                self._assert_queries(index, rng, moved=(mask, rows))
+                before = index_state(index)
+                if kind == "refuse":
+                    assert not index.apply_moves(rows)
+                    np.testing.assert_equal(index_state(index), before)
+                    # The owner rebuilds; restore the holder first so later
+                    # moves keep the geometry.
+                    xs[0] = ys[0] = 0.0
+                    index = SpatialGridIndex(xs, ys, cell)
+                else:
+                    assert index.apply_moves(rows)
+            fresh = SpatialGridIndex(xs.copy(), ys.copy(), cell)
+            np.testing.assert_equal(index_state(index), index_state(fresh))
+            self._assert_table(index)
+            self._assert_queries(index, rng)
+
+    def test_sparse_grid_keeps_no_table(self):
+        """Far-apart points with a tiny cell: no offset table, exact
+        queries through the sorted cell ids, and every re-bin refused."""
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(0, 1e4, 50)
+        ys = rng.uniform(0, 1e4, 50)
+        index = SpatialGridIndex(xs, ys, 0.5)
+        assert index._starts is None and index._sorted_keys is None
+        for x, y in zip(xs[:5], ys[:5]):
+            np.testing.assert_array_equal(
+                index.query_disc(x, y, 300.0), self._brute(xs, ys, x, y, 300.0)
+            )
+        xs[10] += 0.25
+        before = index_state(index)
+        assert not index.apply_moves(np.array([10]))
+        np.testing.assert_equal(index_state(index), before)

@@ -1,5 +1,7 @@
 """Unit and property tests for selective resampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,19 @@ class TestSystematicResample:
         rng = np.random.default_rng(0)
         idx = systematic_resample_indices(weights, 1000, rng)
         assert np.mean(idx == 0) == pytest.approx(0.75, abs=0.01)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 400), st.floats(0.0, 0.9))
+    def test_systematic_draws_are_nondecreasing(self, seed, n_draws, zero_share):
+        """resample_subset finds duplicates by comparing neighbours, which
+        needs sorted draws whenever the mass is positive -- also with
+        zero-weight rows and cumulative sums that round past 1."""
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0, 1, 60) ** 6
+        weights[rng.uniform(size=60) < zero_share] = 0.0
+        weights[int(rng.integers(60))] = 1.0  # positive mass
+        drawn = systematic_resample_indices(weights, n_draws, rng)
+        assert np.all(np.diff(drawn) >= 0)
 
 
 def make_particles(n=200, seed=0):
@@ -171,3 +186,28 @@ class TestResampleSubset:
         config = LocalizerConfig(n_particles=200)
         resample_subset(p, np.array([], dtype=int), config, np.random.default_rng(1))
         np.testing.assert_array_equal(p.xs, snapshot)
+
+    def test_zero_mass_subset_resample_is_pinned(self):
+        """The degenerate fallback draws unsorted indices, so its duplicate
+        marking must stay first-occurrence.  Arrays and the RNG state
+        afterwards are pinned to the values the np.unique marking gave."""
+        p = make_particles(60, seed=3)
+        indices = np.arange(10, 50)
+        p.weights[indices] = 0.0
+        config = LocalizerConfig(area=(100.0, 100.0), injection_fraction=0.2)
+        rng = np.random.default_rng(11)
+        stats = resample_subset(
+            p, indices, config, rng,
+            injection_center=(40.0, 60.0), injection_radius=12.0,
+        )
+        assert stats == (40, 16, 8)
+        digest = hashlib.sha256()
+        for values in (p.xs, p.ys, p.strengths, p.weights):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "01062175512937ba6b51896cbfa07038f37fee21be6a5d5be90377d2d7c8afd4"
+        )
+        assert rng.bit_generator.state["state"] == {
+            "state": 245854669541285421773912514577433157877,
+            "inc": 7937318808080196428804369945471644491,
+        }
