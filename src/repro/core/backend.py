@@ -10,8 +10,9 @@ chunk of readings' discs, then ``apply_log_likelihood`` per disc), the
 segmented mean-shift reduction, and the resampling prefix-sum -- so the
 driver code (``weighting``, ``resampling``, ``estimator``,
 ``localizer``) stays backend-agnostic.  Each kernel exists once per
-backend: the sequential loop's ``reweight_in_place`` is a batch of one
-through the same two weight-path kernels the fused path calls.
+backend: the localizer's observe loop calls the two weight-path kernels
+once per chunk of readings, and ``reweight_in_place`` (the public
+single-reading update) is a batch of one through the same two.
 
 * :class:`NumpyBackend` (``"default"``) is the float64 reference
   (:class:`ArrayBackend` itself) and **bitwise-reproducible**: the
@@ -140,9 +141,10 @@ class ArrayBackend:
 
     The base class *is* the float64 reference: subclasses override the
     kernels they accelerate and inherit exact behavior for the rest.
-    ``accelerated`` is the switch the drivers test to pick the fused
-    batch path in ``observe_batch`` and the backend mean-shift kernel;
-    everything else calls the kernels unconditionally.
+    ``accelerated`` is the switch the drivers test to pick the observe
+    loop's chunk size (``FUSED_CHUNK`` readings, else one) and the
+    backend mean-shift kernel; everything else calls the kernels
+    unconditionally.
     """
 
     name: str = "default"
@@ -232,8 +234,8 @@ class ArrayBackend:
         is preserved; a fully deflated subset is first backfilled with an
         even share; a reading every hypothesis finds impossible keeps the
         prior; posteriors are clamped at :data:`RELATIVE_FLOOR` of the
-        subset's peak.  ``reweight_in_place`` and the fused batch path
-        both end here.
+        subset's peak.  ``reweight_in_place`` and the observe loop both
+        end here.
         """
         from repro.core.weighting import RELATIVE_FLOOR
 

@@ -10,7 +10,10 @@ consumes measurements one at a time, in any order::
         print(estimate)
 
 Each ``observe`` is one iteration of the paper's loop: fusion-range
-selection, prediction, Poisson weighting, selective resampling.  Estimates
+selection, prediction, Poisson weighting, selective resampling.
+``observe_batch`` runs the same loop over chunks of readings: chunks of
+:data:`FUSED_CHUNK` on an accelerated backend (one fused likelihood pass
+per chunk), chunks of one otherwise -- one loop body either way.  Estimates
 are computed on demand by mean-shift over the current population, so the
 caller chooses the cadence (the simulation runner extracts estimates once
 per time step; the runtime benchmark extracts every iteration to mirror
@@ -31,20 +34,22 @@ from repro.core.estimator import SourceEstimate, extract_estimates
 from repro.core.fusion import FixedFusionRange, FusionRangePolicy
 from repro.core.integrity import SensorCredibility
 from repro.core.particles import ParticleSet
-from repro.core.resampling import NO_RESAMPLE, resample_subset
-from repro.core.weighting import reweight_in_place
+from repro.core.resampling import resample_subset
+# Not called here: perfbench/layers.py times the single-reading update by
+# wrapping this name, and tests/test_perfbench_hooks.py requires it to exist.
+from repro.core.weighting import reweight_in_place  # noqa: F401
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sensors.measurement import Measurement
 
 logger = logging.getLogger(__name__)
 
-#: Readings fused per batched likelihood pass.  Within a chunk every
-#: reading's update applies to the same population; resampling runs
-#: between chunks so the filter keeps the sequential loop's intra-step
-#: annealing.
+#: Readings fused per batched likelihood pass on an accelerated backend
+#: (otherwise a chunk is one reading).  Within a chunk every reading's
+#: update applies to the same population; resampling runs between chunks
+#: so the filter keeps the one-reading loop's intra-step annealing.
 #: 8 keeps >90% of the batching win on the Table-1 cell while matching
-#: the sequential loop's accuracy on the paper scenarios.
+#: the one-reading loop's accuracy on the paper scenarios.
 FUSED_CHUNK = 8
 
 #: A movement model maps (xs, ys, strengths, rng) of the touched subset to
@@ -103,9 +108,9 @@ class MultiSourceLocalizer:
         #: Aggregating metrics registry (counters / gauges / histograms);
         #: disabled by default for the same zero-overhead reason.
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # Suppresses nested extract events while inside observe_reading
-        # (the interference refresh runs mean-shift mid-iteration; its cost
-        # is already accounted to the ``weight`` phase).
+        # Suppresses nested extract events while inside a chunk (the
+        # interference refresh runs mean-shift mid-iteration; its cost is
+        # already accounted to the ``select`` phase).
         self._in_observe = False
         self.iteration = 0
         #: Size of the touched subset in the most recent iteration.
@@ -152,9 +157,7 @@ class MultiSourceLocalizer:
 
     def observe(self, measurement: Measurement) -> None:
         """Consume one measurement: select, predict, weight, resample."""
-        self.observe_reading(
-            measurement.x, measurement.y, measurement.cpm, measurement.sensor_id
-        )
+        self._observe_chunk([measurement])
 
     def observe_reading(
         self,
@@ -163,197 +166,56 @@ class MultiSourceLocalizer:
         cpm: float,
         sensor_id: int = -1,
     ) -> None:
-        """Like :meth:`observe` but from raw values (no Measurement object).
-
-        With an enabled tracer, one ``iteration`` event is emitted per call
-        carrying the touched-subset size, ESS before/after, resampling
-        counts, and per-phase wall-clock seconds.  The instrumentation is
-        gated on ``tracer.enabled`` so the default (null) path reads no
-        clocks and computes no diagnostics.
-        """
-        config = self.config
-        tracer = self.tracer
-        traced = tracer.enabled
-        if self.backend.accelerated:
-            self.backend.begin_step()
-        if traced:
-            # ESS before any clock read: diagnostics stay out of the
-            # phase timings, so the phases sum to total_seconds exactly.
-            ess_before = self.particles.effective_sample_size()
-            phases: dict = {}
-            t_start = t_prev = perf_counter()
-        self._in_observe = True
-        try:
-            admission = self._admit(sensor_id, sensor_x, sensor_y, cpm)
-            if admission is None:
-                return
-            fusion_range, credibility_weight = admission
-
-            # 1. Selection (Eq. 5): P' = particles within the fusion range.
-            indices = self._indices_within(sensor_x, sensor_y, fusion_range)
-            self.last_touched = len(indices)
-            self.iteration += 1
-            if traced:
-                t_now = perf_counter()
-                phases["select"] = t_now - t_prev
-                t_prev = t_now
-            if len(indices) == 0:
-                # Nothing hypothesized near this sensor (its region was
-                # written off); random injection elsewhere is what re-seeds
-                # such areas.
-                if traced:
-                    self._emit_iteration(
-                        sensor_id, sensor_x, sensor_y, cpm, fusion_range,
-                        touched=0, ess_before=ess_before, ess_after=ess_before,
-                        stats=NO_RESAMPLE, phases=phases,
-                        total_seconds=t_prev - t_start,
-                    )
-                if self.metrics.enabled:
-                    self.metrics.counter("localizer.iterations").inc()
-                    self.metrics.counter("localizer.empty_subsets").inc()
-                    self.metrics.histogram("localizer.touched").observe(0)
-                    self._flush_grid_metrics()
-                return
-
-            # 2. Prediction: static sources -> identity, unless a movement
-            # model was supplied.
-            if self.movement_model is not None:
-                xs, ys, strengths = self.movement_model(
-                    self.particles.xs[indices],
-                    self.particles.ys[indices],
-                    self.particles.strengths[indices],
-                    self.rng,
-                )
-                self.particles.xs[indices] = xs
-                self.particles.ys[indices] = ys
-                self.particles.strengths[indices] = strengths
-                self.particles.clip_to_area(config.area, indices=indices)
-            if traced:
-                t_now = perf_counter()
-                phases["predict"] = t_now - t_prev
-                t_prev = t_now
-
-            # 3. Weighting: Poisson likelihood of the reading under each
-            # particle's single-source free-space hypothesis, plus the
-            # predicted contribution of other known sources at this sensor.
-            interference = self._interference_for(sensor_x, sensor_y, fusion_range)
-            reweight_in_place(
-                self.particles,
-                indices,
-                cpm,
-                sensor_x,
-                sensor_y,
-                efficiency=config.assumed_efficiency,
-                background_cpm=config.assumed_background_cpm,
-                under_prediction_tempering=config.under_prediction_tempering,
-                interference_cpm=interference,
-                credibility_weight=credibility_weight,
-                backend=self.backend,
-            )
-            self.particles.normalize()
-            if traced:
-                t_now = perf_counter()
-                phases["weight"] = t_now - t_prev
-                t_prev = t_now
-
-            # 4. Selective resampling, confined to the inner part of the disc:
-            # weighting locality (full fusion range) collects all evidence,
-            # but redistribution stays near the sensor so a disc spanning two
-            # source clusters cannot teleport one cluster onto the other.
-            if np.isinf(fusion_range):
-                resample_indices = indices
-                resample_radius = None
-            else:
-                resample_radius = config.resample_range_fraction * fusion_range
-                if resample_radius == fusion_range and self.movement_model is None:
-                    # Static sources: nothing moved since selection, so the
-                    # full-disc resample set is exactly the selection set.
-                    resample_indices = indices
-                else:
-                    resample_indices = self._indices_within(
-                        sensor_x, sensor_y, resample_radius
-                    )
-            stats = resample_subset(
-                self.particles,
-                resample_indices,
-                config,
-                self.rng,
-                injection_center=(sensor_x, sensor_y),
-                injection_radius=resample_radius,
-                backend=self.backend,
-            )
-            self.particles.normalize()
-            if traced:
-                t_end = perf_counter()
-                phases["resample"] = t_end - t_prev
-                self._emit_iteration(
-                    sensor_id, sensor_x, sensor_y, cpm, fusion_range,
-                    touched=len(indices), ess_before=ess_before,
-                    ess_after=self.particles.effective_sample_size(),
-                    stats=stats, phases=phases, total_seconds=t_end - t_start,
-                )
-            if self.metrics.enabled:
-                metrics = self.metrics
-                metrics.counter("localizer.iterations").inc()
-                metrics.counter("localizer.resampled_particles").inc(
-                    stats.n_resampled
-                )
-                metrics.counter("localizer.injected_particles").inc(stats.n_injected)
-                metrics.histogram("localizer.touched").observe(len(indices))
-                metrics.gauge("localizer.ess").set(
-                    self.particles.effective_sample_size()
-                )
-                self._flush_grid_metrics()
-                self._flush_backend_metrics()
-        finally:
-            self._in_observe = False
+        """Like :meth:`observe` but from raw values (no Measurement object)."""
+        self.observe(
+            Measurement(sensor_id, sensor_x, sensor_y, cpm, time_step=0, sequence=0)
+        )
 
     def observe_batch(self, measurements: Sequence[Measurement]) -> None:
         """Consume one step's delivered measurements, fused when possible.
 
-        With an accelerated backend and no movement model, the
-        per-sensor weight-path loop collapses into batched fused
-        likelihood passes of :data:`FUSED_CHUNK` readings each: within a
-        chunk, admission (integrity scoring, quarantine drops, echo-EMA
-        updates, fusion selection) runs per reading in delivery order,
-        one backend call computes the likelihood over every reading's
-        disc rows, each reading's values are applied to the same
-        un-mutated population they were computed on (the weight updates
-        are multiplicative, so their order within the chunk is
-        immaterial), and then each reading's region is
-        selectively resampled in delivery order.  Resampling *between*
-        chunks preserves the sequential loop's annealing behaviour --
-        fusing a whole step into one chunk starves later readings of the
-        particle diversity the intermediate resamples restore -- so
-        accuracy stays in the same approximation class as the truncated
-        mean-shift kernel, covered by the tolerance parity suite.
-
-        The default backend and movement models run the sequential
-        :meth:`observe` loop, which is bitwise-identical to calling it
-        yourself.  The path depends only on the backend and the movement
+        The readings run through :meth:`_observe_chunk` in delivery order,
+        :data:`FUSED_CHUNK` at a time on an accelerated backend without a
+        movement model and one at a time otherwise.  A chunk of one is the
+        paper's sequential loop, so the default backend and movement
+        models compute exactly what calling :meth:`observe` per reading
+        does.  The chunk size depends only on the backend and the movement
         model: tracing, metrics, the flight recorder and the ledger
-        observe either path without rerouting it, so an instrumented run
-        computes what a plain one does.  A traced fused run emits one
-        ``iteration`` event per chunk (see :meth:`_observe_batch_fused`).
+        observe the loop without rerouting it, so an instrumented run
+        computes what a plain one does.
         """
         measurements = list(measurements)
-        if not self.backend.accelerated or self.movement_model is not None:
-            for measurement in measurements:
-                self.observe(measurement)
-            return
-        for start in range(0, len(measurements), FUSED_CHUNK):
-            self._observe_batch_fused(measurements[start:start + FUSED_CHUNK])
+        chunk = (
+            FUSED_CHUNK
+            if self.backend.accelerated and self.movement_model is None
+            else 1
+        )
+        for start in range(0, len(measurements), chunk):
+            self._observe_chunk(measurements[start:start + chunk])
 
-    def _observe_batch_fused(self, measurements: List[Measurement]) -> None:
-        """The accelerated :meth:`observe_batch` body (backend-gated).
+    def _observe_chunk(self, measurements: Sequence[Measurement]) -> None:
+        """One pass of the paper's loop over a chunk of readings.
+
+        Admission (integrity scoring, quarantine drops, echo-EMA updates,
+        fusion ranges) runs per reading in delivery order; then each
+        admitted reading selects its fusion disc, is predicted (a movement
+        model forces chunks of one, so prediction never mixes with other
+        readings' selections) and gets its interference term.  One backend
+        call computes the likelihood over every reading's disc rows, each
+        reading's values are applied to the same un-mutated population
+        they were computed on (the updates are multiplicative, so their
+        order within the chunk is immaterial), and then each reading's
+        region is selectively resampled in delivery order.  Resampling
+        *between* chunks keeps the one-reading loop's intra-step
+        annealing -- fusing a whole step into one chunk starves later
+        readings of the diversity the intermediate resamples restore.
 
         With an enabled tracer, one ``iteration`` event covers the chunk:
-        ``readings`` (the admitted readings, one per sequential-loop
-        event), the summed ``touched`` / ``resampled`` / ``duplicates`` /
-        ``injected`` counts, ESS before and after, and ``select`` /
-        ``weight`` / ``resample`` phases that sum to ``total_seconds``.
-        Like :meth:`observe_reading`, the null tracer reads no clocks and
-        computes no ESS.
+        ``readings`` and ``sensor_ids`` (the admitted readings), the
+        summed ``touched`` / ``resampled`` / ``duplicates`` / ``injected``
+        counts, ESS before and after, and ``select`` / ``weight`` /
+        ``resample`` phases that sum to ``total_seconds``.  The null
+        tracer reads no clocks and computes no ESS.
         """
         config = self.config
         backend = self.backend
@@ -361,22 +223,23 @@ class MultiSourceLocalizer:
         traced = self.tracer.enabled
         backend.begin_step()
         if traced:
+            # ESS before any clock read: diagnostics stay out of the
+            # phase timings, so the phases sum to total_seconds exactly.
             ess_before = self.particles.effective_sample_size()
             t_start = perf_counter()
         self._in_observe = True
         try:
-            # Phase A -- admission, per reading in delivery order, against
-            # the un-mutated step-start population.  Credibility, EMA and
-            # fusion ranges resolve for every reading first; each surviving
-            # reading's fusion-range selection then queries that same
-            # population.
+            # 1. Admission, per reading in delivery order, against the
+            # un-mutated chunk-start population.
             screened: List[tuple] = []
             for m in measurements:
                 admission = self._admit(m.sensor_id, m.x, m.y, m.cpm)
                 if admission is not None:
                     screened.append((m, *admission))
 
-            admitted: List[tuple] = []
+            # 2. Selection (Eq. 5) and prediction, per admitted reading.
+            admitted: List[tuple] = []  # (measurement, fusion range, disc)
+            params: List[tuple] = []  # x, y, cpm, interference, credibility
             for m, fusion_range, credibility_weight in screened:
                 indices = self._indices_within(m.x, m.y, fusion_range)
                 self.last_touched = len(indices)
@@ -385,65 +248,91 @@ class MultiSourceLocalizer:
                     metrics.counter("localizer.iterations").inc()
                     metrics.histogram("localizer.touched").observe(len(indices))
                 if len(indices) == 0:
+                    # Nothing hypothesized near this sensor (its region was
+                    # written off); random injection elsewhere is what
+                    # re-seeds such areas.
                     if metrics.enabled:
                         metrics.counter("localizer.empty_subsets").inc()
                     continue
+                if self.movement_model is not None:
+                    # Prediction: static sources are the identity.
+                    particles = self.particles
+                    xs, ys, strengths = self.movement_model(
+                        particles.xs[indices],
+                        particles.ys[indices],
+                        particles.strengths[indices],
+                        self.rng,
+                    )
+                    particles.xs[indices] = xs
+                    particles.ys[indices] = ys
+                    particles.strengths[indices] = strengths
+                    particles.clip_to_area(config.area, indices=indices)
                 interference = self._interference_for(m.x, m.y, fusion_range)
-                admitted.append(
-                    (m, fusion_range, indices, interference, credibility_weight)
-                )
+                admitted.append((m, fusion_range, indices))
+                params.append((m.x, m.y, m.cpm, interference, credibility_weight))
             if traced:
                 t_select = t_weight = perf_counter()
 
             resampled = duplicates = injected = 0
             if admitted:
-                # Phase B -- one fused likelihood pass over the chunk's
-                # disc rows (each reading's selection, laid end to end).
+                # 3. Weighting: one likelihood pass over the chunk's disc
+                # rows (each reading's selection, laid end to end), with
+                # the predicted contribution of other known sources.
+                discs = [entry[2] for entry in admitted]
+                sensor_x, sensor_y, counts, interference_cpm, credibility_weights = (
+                    np.array(params, dtype=float).T
+                )
                 log_like = backend.log_likelihood_batch(
                     self.particles,
-                    [entry[2] for entry in admitted],
-                    np.array([entry[0].x for entry in admitted]),
-                    np.array([entry[0].y for entry in admitted]),
-                    np.array([entry[0].cpm for entry in admitted]),
+                    discs,
+                    sensor_x,
+                    sensor_y,
+                    counts,
                     efficiency=config.assumed_efficiency,
                     background_cpm=config.assumed_background_cpm,
                     under_prediction_tempering=config.under_prediction_tempering,
-                    interference_cpm=np.array(
-                        [entry[3] for entry in admitted]
-                    ),
-                    credibility_weights=np.array(
-                        [entry[4] for entry in admitted]
-                    ),
+                    interference_cpm=interference_cpm,
+                    credibility_weights=credibility_weights,
                 )
                 if metrics.enabled:
                     metrics.histogram("backend.weight_update_batch_size").observe(
                         len(admitted)
                     )
-                # Phase C -- apply every reading's likelihood against the
-                # same un-mutated population it was computed on.
-                # Interleaving resamples here would move particles out from
-                # under the remaining precomputed values.
-                for entry, disc_log_like in zip(admitted, log_like):
+                # Every reading's likelihood applies to the population it
+                # was computed on: interleaving resamples here would move
+                # particles out from under the remaining values.
+                for indices, disc_log_like in zip(discs, log_like):
                     backend.apply_log_likelihood(
-                        self.particles, entry[2], disc_log_like
+                        self.particles, indices, disc_log_like
                     )
                     self.particles.normalize()
                 if traced:
                     t_weight = perf_counter()
-                # Phase D -- resample each reading's region in delivery
-                # order, re-querying membership against the now-current
-                # population (earlier resamples move particles in and out).
-                for m, fusion_range, indices, _intf, _cred in admitted:
+                # 4. Selective resampling in delivery order, confined to
+                # the inner part of each disc: weighting locality (full
+                # fusion range) collects all evidence, but redistribution
+                # stays near the sensor so a disc spanning two source
+                # clusters cannot teleport one onto the other.  Nothing
+                # has moved since the first reading's query (weights only
+                # changed), so a full-disc resample reuses its selection;
+                # every later reading re-queries, because earlier
+                # resamples move particles in and out.
+                reusable = self.movement_model is None
+                for m, fusion_range, indices in admitted:
                     if np.isinf(fusion_range):
-                        resample_indices = np.arange(len(self.particles))
-                        resample_radius = None
+                        resample_radius = None  # indices is the population
+                        resample_indices = indices
                     else:
                         resample_radius = (
                             config.resample_range_fraction * fusion_range
                         )
-                        resample_indices = self._indices_within(
-                            m.x, m.y, resample_radius
-                        )
+                        if reusable and resample_radius == fusion_range:
+                            resample_indices = indices
+                        else:
+                            resample_indices = self._indices_within(
+                                m.x, m.y, resample_radius
+                            )
+                    reusable = False
                     stats = resample_subset(
                         self.particles,
                         resample_indices,
@@ -466,6 +355,7 @@ class MultiSourceLocalizer:
                     "iteration",
                     iteration=self.iteration,
                     readings=len(screened),
+                    sensor_ids=[int(entry[0].sensor_id) for entry in screened],
                     touched=sum(len(entry[2]) for entry in admitted),
                     ess_before=float(ess_before),
                     ess_after=float(self.particles.effective_sample_size()),
@@ -491,7 +381,7 @@ class MultiSourceLocalizer:
     def _admit(
         self, sensor_id: int, sensor_x: float, sensor_y: float, cpm: float
     ) -> Optional[tuple]:
-        """Per-reading admission, shared by the loop and the fused path.
+        """Per-reading admission, the first step of every chunk.
 
         Rejects a negative reading, then scores the sensor's credibility
         before the reading touches anything: a quarantined sensor's
@@ -628,38 +518,6 @@ class MultiSourceLocalizer:
             metrics.counter("backend.scratch_reuse").inc(reuse_delta)
             self._backend_reuses_seen = pool.reuses
 
-    def _emit_iteration(
-        self,
-        sensor_id: int,
-        sensor_x: float,
-        sensor_y: float,
-        cpm: float,
-        fusion_range: float,
-        touched: int,
-        ess_before: float,
-        ess_after: float,
-        stats,
-        phases: dict,
-        total_seconds: float,
-    ) -> None:
-        self.tracer.emit(
-            "iteration",
-            iteration=self.iteration,
-            sensor_id=int(sensor_id),
-            sensor_x=float(sensor_x),
-            sensor_y=float(sensor_y),
-            cpm=float(cpm),
-            fusion_range=float(fusion_range),
-            touched=int(touched),
-            ess_before=float(ess_before),
-            ess_after=float(ess_after),
-            resampled=int(stats.n_resampled),
-            duplicates=int(stats.n_duplicates),
-            injected=int(stats.n_injected),
-            phases=phases,
-            total_seconds=float(total_seconds),
-        )
-
     def _interference_for(
         self,
         sensor_x: float,
@@ -732,10 +590,10 @@ class MultiSourceLocalizer:
             if self.metrics.enabled:
                 self.metrics.counter("localizer.estimate_cache_hits").inc()
             return self._filter_echoes(cached[1])
-        # The interference refresh calls estimates() from inside
-        # observe_reading; suppress the nested extract event there so the
-        # trace's phase accounting never counts the same wall-clock twice
-        # (that extraction is already inside the iteration's weight phase).
+        # The interference refresh calls estimates() from inside a chunk;
+        # suppress the nested extract event there so the trace's phase
+        # accounting never counts the same wall-clock twice (that
+        # extraction is already inside the iteration's select phase).
         tracer = NULL_TRACER if self._in_observe else self.tracer
         candidates = extract_estimates(
             self.particles, self.config, self.rng, tracer=tracer,

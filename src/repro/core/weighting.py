@@ -143,8 +143,10 @@ def reweight_in_place(
     is full trust, values toward 0 flatten the update so the reading
     barely moves the particles.
 
-    The update is a batch of one through ``backend``'s two weight-path
-    kernels (``log_likelihood_batch`` then ``apply_log_likelihood``); the
+    This is the public single-reading update.  It is a batch of one
+    through ``backend``'s two weight-path kernels
+    (``log_likelihood_batch`` then ``apply_log_likelihood``), the ones
+    the localizer's observe loop calls once per chunk of readings; the
     float64 reference :class:`repro.core.backend.ArrayBackend` runs it
     when ``backend`` is None.
     """

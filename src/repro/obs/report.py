@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Union
 logger = logging.getLogger(__name__)
 
 #: Phases of one localizer iteration, in pipeline order.
-ITERATION_PHASES = ("select", "predict", "weight", "resample")
+ITERATION_PHASES = ("select", "weight", "resample")
 #: Phases of one mean-shift estimate extraction, in pipeline order.
 EXTRACT_PHASES = ("seed", "shift", "merge", "filter")
 
@@ -58,7 +58,7 @@ class TraceSummary:
     n_events: int = 0
     n_runs: int = 0
     #: Localizer iterations (readings): an ``iteration`` event counts as
-    #: its ``readings`` field (one fused chunk), else as one.
+    #: its ``readings`` field (one chunk), else as one (older traces).
     n_iterations: int = 0
     n_extracts: int = 0
     n_steps: int = 0

@@ -12,12 +12,11 @@ Event vocabulary (the authoritative schema is docs/OBSERVABILITY.md):
 ``run_start`` / ``run_end``
     One run of a scenario (emitted by the simulation runner).
 ``iteration``
-    One ``MultiSourceLocalizer.observe()`` call on the sequential loop:
-    touched-subset size, ESS before/after, resample/injection counts,
-    and per-phase seconds (``select``, ``predict``, ``weight``,
-    ``resample``).  On the fused path one event covers a chunk: it adds
-    ``readings`` and sums the counts over them, with ``select`` /
-    ``weight`` / ``resample`` phases.
+    One chunk of the localizer's observe loop (one reading on the
+    default backend, up to ``FUSED_CHUNK`` on an accelerated one):
+    ``readings`` and ``sensor_ids``, summed touched-subset sizes and
+    resample/injection counts, ESS before/after, and per-phase seconds
+    (``select``, ``weight``, ``resample``).
 ``extract``
     One mean-shift estimate extraction: seed count, mean-shift sweep
     count, per-phase seconds (``seed``, ``shift``, ``merge``, ``filter``).

@@ -176,6 +176,55 @@ class TestMovementModel:
         assert localizer.iteration == 1
 
 
+class TestResampleSelectionReuse:
+    """A chunk's first admitted reading resamples its own selection.
+
+    Weight updates move no particle, so the first reading's fusion disc is
+    unchanged when its full-disc resample runs; every later reading
+    re-queries, because earlier resamples move particles in and out.
+    """
+
+    @pytest.mark.parametrize("backend", ["default", "fast"])
+    def test_grid_queries_per_session(self, backend):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.sinks import InMemorySink
+        from repro.obs.trace import Tracer
+        from repro.sim.scenarios import scenario_a
+        from repro.sim.session import SessionSpec
+
+        sink, registry = InMemorySink(), MetricsRegistry()
+        session = SessionSpec(
+            scenario=scenario_a(n_time_steps=3, n_particles=1000),
+            seed=4,
+            backend=backend,
+        ).open(tracer=Tracer(sink), metrics=registry)
+        localizer = session.localizer
+        observe_batch = localizer.observe_batch
+        queries = []
+
+        def counted(batch):
+            # Only the observe loop's queries: estimate extraction between
+            # steps queries the grid too.
+            before = localizer.particles.grid_queries
+            observe_batch(batch)
+            queries.append(localizer.particles.grid_queries - before)
+
+        localizer.observe_batch = counted
+        session.run()
+
+        readings = localizer.iteration
+        non_empty = readings - registry.counter("localizer.empty_subsets").value
+        chunks = [e for e in sink.of_type("iteration") if e["touched"] > 0]
+        assert non_empty > 0
+        # One selection per admitted reading, plus one resample re-query
+        # per non-empty reading except each chunk's first.
+        assert sum(queries) == readings + non_empty - len(chunks)
+        if backend == "default":
+            assert sum(queries) == readings
+        else:
+            assert len(chunks) < non_empty
+
+
 class TestSnapshotAndDiagnostics:
     def test_snapshot_is_a_copy(self):
         localizer = make_localizer()

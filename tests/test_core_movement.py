@@ -1,5 +1,8 @@
 """Tests for movement models and the tracking extension."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -91,3 +94,52 @@ class TestTrackingIntegration:
         assert estimates, "tracker lost the source entirely"
         best = min(e.distance_to(final_x, 50.0) for e in estimates)
         assert best < 8.0, f"tracking error {best:.1f}"
+
+
+class TestMovementSessionPinned:
+    """A random-walk session's numbers, pinned on both backends.
+
+    A movement model runs the observe loop one reading at a time with the
+    prediction between selection and weighting; these digests (step
+    records without their timing field, then the final particle arrays)
+    were captured before prediction moved into the chunk loop and must
+    not change.  The ``fast`` digest depends on numpy's float32 kernels.
+    """
+
+    @pytest.mark.parametrize(
+        "backend, expected",
+        [
+            (
+                "default",
+                "11260458b9ba8432fd5dbce406bec244eb4f70e04218ec6f2b7323b79b999c6d",
+            ),
+            (
+                "fast",
+                "db4e30c4d72a83758100ee83da9f3ddbf682765a0a600b117b5b97a6bc33daf2",
+            ),
+        ],
+    )
+    def test_random_walk_session_digest(self, backend, expected):
+        from repro.sim.scenarios import scenario_a
+        from repro.sim.serialization import step_record_to_dict
+        from repro.sim.session import SessionSpec
+
+        session = SessionSpec(
+            scenario=scenario_a(n_time_steps=4, n_particles=1000),
+            seed=3,
+            backend=backend,
+        ).open()
+        session.localizer.movement_model = RandomWalkModel(0.5)
+        result = session.run()
+        digest = hashlib.sha256()
+        for record in result.steps:
+            doc = step_record_to_dict(record)
+            doc.pop("mean_iteration_seconds")
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+        particles = session.localizer.particles
+        for values in (
+            particles.xs, particles.ys, particles.strengths, particles.weights
+        ):
+            digest.update(values.tobytes())
+        assert session.localizer.iteration == 144
+        assert digest.hexdigest() == expected
