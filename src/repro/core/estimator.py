@@ -149,8 +149,9 @@ def extract_estimates(
     scratch buffers persist across calls.
 
     With an enabled ``tracer``, one ``extract`` event is emitted carrying
-    seed / sweep / mode counts, the backend (``path``), and per-phase
-    wall-clock seconds (``seed``, ``shift``, ``merge``, ``filter``).
+    seed / sweep / gather / kernel-evaluation / mode counts, the backend
+    (``path``), and per-phase wall-clock seconds (``seed``, ``shift``,
+    ``merge``, ``filter``).
     """
     tracer = NULL_TRACER if tracer is None else tracer
     traced = tracer.enabled
@@ -279,6 +280,8 @@ def extract_estimates(
             "extract",
             n_seeds=int(shift_stats.get("n_seeds", len(seeds))),
             meanshift_sweeps=int(shift_stats.get("sweeps", 0)),
+            gathers=int(shift_stats.get("gathers", 0)),
+            candidates=int(shift_stats.get("candidates", 0)),
             n_modes=len(modes),
             n_estimates=len(estimates),
             path=path,

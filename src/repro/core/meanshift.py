@@ -87,7 +87,8 @@ def mean_shift_modes(
     weights : (N,) non-negative particle weights.
     bandwidth : Gaussian kernel bandwidth.
     stats : optional dict that, when supplied, receives instrumentation
-        fields: ``sweeps`` (ascent iterations executed) and ``n_seeds``.
+        fields: ``sweeps`` (ascent iterations executed), ``n_seeds`` and
+        ``candidates`` (kernel evaluations summed over sweeps).
 
     Returns
     -------
@@ -109,19 +110,25 @@ def mean_shift_modes(
 
     active = np.ones(len(seeds), dtype=bool)
     inv_two_h_sq = 0.5 / (bandwidth * bandwidth)
+    pnorm = np.sum(points * points, axis=1)
     sweeps = 0
+    candidates_total = 0
     for _ in range(max_iter):
         if not np.any(active):
             break
         sweeps += 1
         current = seeds[active]
-        # (A, N) squared distances from active seeds to all points.
-        sq = (
-            np.sum(current * current, axis=1)[:, None]
-            - 2.0 * current @ points.T
-            + np.sum(points * points, axis=1)[None, :]
-        )
-        kernel = np.exp(-sq * inv_two_h_sq) * weights[None, :]
+        # (A, N) squared distances from active seeds to all points, turned
+        # into weighted kernel values in place.
+        kernel = 2.0 * current @ points.T
+        np.subtract(np.sum(current * current, axis=1)[:, None], kernel, out=kernel)
+        kernel += pnorm
+        np.negative(kernel, out=kernel)
+        kernel *= inv_two_h_sq
+        np.exp(kernel, out=kernel)
+        kernel *= weights
+        if stats is not None:
+            candidates_total += kernel.size
         totals = kernel.sum(axis=1)
         # Seeds stranded in zero-density regions stop where they are.
         stranded = totals <= 0
@@ -139,6 +146,7 @@ def mean_shift_modes(
     if stats is not None:
         stats["sweeps"] = sweeps
         stats["n_seeds"] = len(seeds)
+        stats["candidates"] = candidates_total
     densities = _density_at(seeds, points, weights, bandwidth) / total_weight
     return seeds, densities
 
@@ -168,9 +176,10 @@ def truncated_mean_shift_modes(
     Two refinements keep the bookkeeping cheap and bounded:
 
     * **cached gathers** -- each seed's candidate set is fetched with one
-      extra bandwidth of margin and reused until the seed drifts more
-      than that margin from its gather center (a converging seed
-      re-gathers only a handful of times);
+      extra bandwidth of margin, kept as contiguous x, y and weight
+      columns, and reused until the seed drifts more than that margin
+      from its gather center (a converging seed re-gathers only a handful
+      of times);
     * **tiling** -- active seeds are processed in tiles of at most
       ``tile_candidates`` gathered points, so peak memory is bounded
       regardless of the seed count.
@@ -202,10 +211,16 @@ def truncated_mean_shift_modes(
     radius = truncation_sigmas * bandwidth
     margin = bandwidth
     inv_two_h_sq = 0.5 / (bandwidth * bandwidth)
+    xs = np.ascontiguousarray(points[:, 0])
+    ys = np.ascontiguousarray(points[:, 1])
 
     active = np.ones(n_seeds, dtype=bool)
-    neighbors: list = [None] * n_seeds
-    centers = np.empty_like(seeds)
+    # Each seed's cached gather as contiguous (x, y, weight) columns in
+    # the grid's candidate order (which fixes the summation order).
+    cached: list = [None] * n_seeds
+    cand_n = np.zeros(n_seeds, dtype=np.int64)
+    # A seed that never gathered is infinitely far from its gather center.
+    centers = np.full_like(seeds, np.inf)
     gathers = 0
     candidates_total = 0
     sweeps = 0
@@ -213,18 +228,21 @@ def truncated_mean_shift_modes(
     def _shift_tile(tile: np.ndarray) -> None:
         """One ascent step for the seeds in ``tile`` (all non-empty)."""
         nonlocal candidates_total
-        counts = np.array([len(neighbors[i]) for i in tile])
-        flat = np.concatenate([neighbors[i] for i in tile])
-        candidates_total += len(flat)
+        counts = cand_n[tile]
+        x, y, kernel = (np.concatenate(col) for col in zip(*(cached[i] for i in tile)))
+        candidates_total += len(x)
         current = seeds[tile]
-        px = points[flat]
-        diff = px - np.repeat(current, counts, axis=0)
-        sq = np.einsum("ij,ij->i", diff, diff)
-        kernel = np.exp(-sq * inv_two_h_sq) * weights[flat]
+        dx = np.repeat(current[:, 0], counts)
+        dy = np.repeat(current[:, 1], counts)
+        np.subtract(x, dx, out=dx)
+        np.subtract(y, dy, out=dy)
+        kernel *= _gaussian_in_place(dx, dy, inv_two_h_sq)
+        x *= kernel
+        y *= kernel
         offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
         totals = np.add.reduceat(kernel, offsets)
-        numer_x = np.add.reduceat(kernel * px[:, 0], offsets)
-        numer_y = np.add.reduceat(kernel * px[:, 1], offsets)
+        numer_x = np.add.reduceat(x, offsets)
+        numer_y = np.add.reduceat(y, offsets)
         stranded = totals <= 0
         safe = np.maximum(totals, 1e-300)
         shifted = np.where(
@@ -243,26 +261,24 @@ def truncated_mean_shift_modes(
         sweeps += 1
         # Refresh stale candidate caches: a seed more than ``margin`` from
         # its gather center may have drifted into un-gathered cells.
-        for i in act_idx:
-            if neighbors[i] is None or (
-                (seeds[i, 0] - centers[i, 0]) ** 2
-                + (seeds[i, 1] - centers[i, 1]) ** 2
-                > margin * margin
-            ):
-                neighbors[i] = grid.query_candidates(
-                    seeds[i, 0], seeds[i, 1], radius + margin
-                )
-                centers[i] = seeds[i]
-                gathers += 1
+        drift = seeds[act_idx] - centers[act_idx]
+        drift *= drift
+        stale = act_idx[drift[:, 0] + drift[:, 1] > margin * margin]
+        for i in stale:
+            idx = grid.query_candidates(seeds[i, 0], seeds[i, 1], radius + margin)
+            cached[i] = (xs[idx], ys[idx], weights[idx])
+            cand_n[i] = len(idx)
+        centers[stale] = seeds[stale]
+        gathers += len(stale)
         # Seeds with no candidate in reach are stranded where they stand.
-        empty = np.array([len(neighbors[i]) == 0 for i in act_idx])
+        empty = cand_n[act_idx] == 0
         active[act_idx[empty]] = False
         act_idx = act_idx[~empty]
         # Tile to bound the size of the flattened candidate arrays.
         tile_start = 0
         tile_count = 0
-        for pos, i in enumerate(act_idx):
-            tile_count += len(neighbors[i])
+        for pos, count in enumerate(cand_n[act_idx].tolist()):
+            tile_count += count
             if tile_count >= tile_candidates and pos + 1 < len(act_idx):
                 _shift_tile(act_idx[tile_start:pos + 1])
                 tile_start = pos + 1
@@ -276,9 +292,21 @@ def truncated_mean_shift_modes(
         stats["gathers"] = gathers
         stats["candidates"] = candidates_total
     densities = _truncated_density_at(
-        seeds, points, weights, bandwidth, grid, radius
+        seeds, xs, ys, weights, bandwidth, grid, radius
     ) / total_weight
     return seeds, densities
+
+
+def _gaussian_in_place(dx: np.ndarray, dy: np.ndarray, inv_two_h_sq: float) -> np.ndarray:
+    """``exp(-(dx*dx + dy*dy) * inv_two_h_sq)`` computed in ``dx``'s
+    storage (``dy`` is clobbered too): the same float64 operations, in
+    the same order, as the expression, without its temporaries."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    np.negative(dx, out=dx)
+    dx *= inv_two_h_sq
+    return np.exp(dx, out=dx)
 
 
 def disc_rows(
@@ -344,22 +372,21 @@ def padded_candidate_rows(
 
 def _truncated_density_at(
     locations: np.ndarray,
-    points: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
     weights: np.ndarray,
     bandwidth: float,
     grid: "SpatialGridIndex",
     radius: float,
 ) -> np.ndarray:
-    """Truncated-kernel analog of :func:`_density_at` (per-location gather)."""
+    """Truncated-kernel analog of :func:`_density_at` over point columns."""
     out = np.zeros(len(locations))
     inv_two_h_sq = 0.5 / (bandwidth * bandwidth)
     for j, (x, y) in enumerate(locations):
         idx = grid.query_candidates(x, y, radius)
         if len(idx) == 0:
             continue
-        dx = points[idx, 0] - x
-        dy = points[idx, 1] - y
-        kernel = np.exp(-(dx * dx + dy * dy) * inv_two_h_sq)
+        kernel = _gaussian_in_place(xs[idx] - x, ys[idx] - y, inv_two_h_sq)
         out[j] = kernel @ weights[idx]
     return out
 
@@ -371,12 +398,12 @@ def _density_at(
     bandwidth: float,
 ) -> np.ndarray:
     """Weighted (unnormalized-kernel) density at each location."""
-    sq = (
-        np.sum(locations * locations, axis=1)[:, None]
-        - 2.0 * locations @ points.T
-        + np.sum(points * points, axis=1)[None, :]
-    )
-    kernel = np.exp(-0.5 * sq / (bandwidth * bandwidth))
+    kernel = 2.0 * locations @ points.T
+    np.subtract(np.sum(locations * locations, axis=1)[:, None], kernel, out=kernel)
+    kernel += np.sum(points * points, axis=1)
+    kernel *= -0.5
+    kernel /= bandwidth * bandwidth
+    np.exp(kernel, out=kernel)
     return kernel @ weights
 
 

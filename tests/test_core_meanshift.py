@@ -1,5 +1,7 @@
 """Unit and property tests for mean-shift mode finding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,10 +208,15 @@ class TestTruncatedMeanShift:
         assert np.abs(td - dd).max() < 1e-4 * dd.max()
 
     def test_tiling_does_not_change_results(self):
+        # Each seed's segment is reduced on its own, so tiling is bitwise.
         points, weights = self.clustered(seed=1)
-        _, _, one_tile, _ = self.run_both(points, weights)
-        _, _, tiny_tiles, _ = self.run_both(points, weights, tile_candidates=500)
-        np.testing.assert_allclose(tiny_tiles, one_tile, atol=1e-9)
+        _, _, one_tile, one_density = self.run_both(points, weights)
+        for tile_candidates in (500, 1):
+            _, _, tiled, tiled_density = self.run_both(
+                points, weights, tile_candidates=tile_candidates
+            )
+            assert np.array_equal(tiled, one_tile)
+            assert np.array_equal(tiled_density, one_density)
 
     def test_stranded_seed_stays_put(self):
         points = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -262,6 +269,52 @@ class TestTruncatedMeanShift:
         # stopping points can drift a little along a plateau; they must still
         # agree far inside the downstream merge radius (>= bandwidth >= 4).
         assert np.linalg.norm(tm - dm, axis=1).max() < 2.0
+
+
+class TestFloat64DriversPinned:
+    """Bitwise pins of both float64 drivers: the digest of ``(modes,
+    densities)`` and the work counts.  Any change to the per-element
+    arithmetic or to the summation order (the candidate order fed to
+    ``np.add.reduceat``) moves the digest.  Each population carries one
+    stranded seed far outside it.  Like perfbench's golden digests, the
+    digests depend on numpy's float64 kernels and BLAS."""
+
+    STRANDED = [[1000.0, 1000.0]]
+
+    @staticmethod
+    def digest(modes, densities):
+        return hashlib.sha256(modes.tobytes() + densities.tobytes()).hexdigest()
+
+    def test_truncated_driver(self):
+        # Above the 4096-particle gate where the default backend uses it.
+        points, weights = TestTruncatedMeanShift().clustered(n=6000)
+        seeds = np.vstack([select_seeds(points, weights, 96), self.STRANDED])
+        grid = SpatialGridIndex(points[:, 0], points[:, 1], 12.0)
+        stats = {}
+        modes, densities = truncated_mean_shift_modes(
+            seeds, points, weights, bandwidth=8.0, grid=grid, stats=stats
+        )
+        assert modes[-1].tolist() == self.STRANDED[0] and densities[-1] == 0.0
+        assert self.digest(modes, densities) == (
+            "33dff6dd3b4622351824cbea9861a6aa8b4ae4394de288f99137ce2916a856fe"
+        )
+        assert stats == {
+            "sweeps": 100, "n_seeds": 97, "gathers": 160, "candidates": 1712344
+        }
+
+    def test_dense_driver(self):
+        points, weights = TestTruncatedMeanShift().clustered(seed=1, n=2000)
+        seeds = np.vstack([select_seeds(points, weights, 48), self.STRANDED])
+        stats = {}
+        modes, densities = mean_shift_modes(
+            seeds, points, weights, bandwidth=8.0, stats=stats
+        )
+        assert modes[-1].tolist() == self.STRANDED[0] and densities[-1] == 0.0
+        assert self.digest(modes, densities) == (
+            "39e348ed086556bed5ba2b82108ff3b7f9d626ec59910e9931689f93f38e2790"
+        )
+        # Every active seed evaluates the kernel at all 2000 points.
+        assert stats == {"sweeps": 62, "n_seeds": 49, "candidates": 1272000}
 
 
 class TestPaddedCandidateRows:
