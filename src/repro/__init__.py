@@ -100,12 +100,6 @@ from repro.sensors import (
     grid_placement,
     poisson_placement,
 )
-from repro.exp import (
-    SweepResult,
-    SweepSpec,
-    Variant,
-    run_sweep,
-)
 from repro.sim import (
     RepeatedRunResult,
     load_scenario,
@@ -122,6 +116,23 @@ from repro.sim import (
 )
 
 __version__ = "1.0.0"
+
+#: Resolved on first access (PEP 562): no session step runs the sweep
+#: engine, so ``import repro`` does not load it.
+_SWEEP_NAMES = ("SweepResult", "SweepSpec", "Variant", "run_sweep")
+
+
+def __getattr__(name):
+    if name in _SWEEP_NAMES:
+        import repro.exp
+
+        return getattr(repro.exp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SWEEP_NAMES))
+
 
 __all__ = [
     "AutoFusionRange",

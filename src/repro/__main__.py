@@ -83,8 +83,6 @@ from repro.obs.trends import (
     resolve_series,
     trend_table,
 )
-from repro.exp.engine import run_sweep
-from repro.exp.spec import SweepSpec, Variant
 from repro.sim.runner import run_repeated
 from repro.sim.scenario import Scenario
 from repro.sim.session import SessionSpec, with_config
@@ -540,6 +538,9 @@ def cmd_layout(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # The sweep engine loads only for this command, not for every CLI start.
+    from repro.exp import SweepSpec, Variant, run_sweep
+
     variants = []
     for value in args.values:
         if args.parameter == "strength":

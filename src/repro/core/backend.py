@@ -733,15 +733,22 @@ class FastNumpyBackend(ArrayBackend):
             # after a jump says nothing about the contraction ratio.
             ratio_num = shift_x * shift_prev_x[rows] + shift_y * shift_prev_y[rows]
             ratio = ratio_num / np.maximum(moved_prev[rows], self._TINY_TOTAL)
-            gain = np.where(
+            boost = (
                 ~finished
                 & ~boosted[rows]
                 & (moved_prev[rows] > 0)
                 & (moved_sq > boost_floor_sq)
                 & (ratio > 0)
-                & (ratio < np.float32(0.9)),
-                ratio / (np.float32(1.0) - ratio),
-                np.float32(0.0),
+                & (ratio < np.float32(0.9))
+            )
+            # Divide only on boosted rows: two equal ulp-sized shifts give
+            # ratio == 1 on a row the mask discards anyway, and evaluating
+            # r / (1 - r) there would warn about a division by zero.
+            gain = np.divide(
+                ratio,
+                np.float32(1.0) - ratio,
+                out=np.zeros_like(ratio),
+                where=boost,
             )
             # Cap the jump length: an uncapped extrapolation from two
             # large shifts can fly across a basin boundary and merge two

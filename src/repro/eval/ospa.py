@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def ospa_distance(
@@ -35,6 +34,11 @@ def ospa_distance(
     or ghost target costs exactly the cutoff.  Returns 0 for two empty
     sets.
     """
+    # Imported here, not at module level: scipy.optimize adds about
+    # 200 ms to every process start, and no session step scores OSPA
+    # (only end-of-run summaries do).
+    from scipy.optimize import linear_sum_assignment
+
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if order < 1:

@@ -53,8 +53,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.parallel import WorkerPool
 from repro.exp.spec import SweepCell, SweepSpec
 from repro.obs.ledger import RunManifest
@@ -62,6 +60,7 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.sinks import InMemorySink, JsonlSink, TagSink, TeeSink, read_jsonl_lenient
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.results import RepeatedRunResult, RunResult
+from repro.sim.rng import retry_backoff_seconds
 from repro.sim.serialization import (
     CheckpointError,
     run_result_from_dict,
@@ -70,46 +69,6 @@ from repro.sim.serialization import (
 from repro.sim.session import LocalizerSession, SessionSpec
 
 logger = logging.getLogger(__name__)
-
-
-#: Base unit (seconds) of the seed-derived retry backoff below.
-RETRY_BACKOFF_BASE = 0.1
-
-#: Upper bound on a single retry pause, whatever the derivation says.
-RETRY_BACKOFF_MAX = 1.0
-
-
-def retry_backoff_seconds(
-    seed: int,
-    attempt: int = 1,
-    base: float = RETRY_BACKOFF_BASE,
-    cap: float = RETRY_BACKOFF_MAX,
-    exponential: bool = False,
-) -> float:
-    """Deterministic pause before resubmitting a failed cell.
-
-    Cells that failed together usually failed on a *shared* bottleneck
-    (an overloaded host, a memory spike); re-landing them on the rebuilt
-    pool at the same instant invites the same collision.  The stagger is
-    derived from the cell's seed through :class:`numpy.random.SeedSequence`
-    -- no wall-clock randomness, so a re-run of the same sweep backs off
-    by exactly the same amounts -- and spans ``[0.5, 1.5) * base *
-    growth(attempt)``, capped at ``cap``.
-
-    Growth is linear in ``attempt`` by default (the sweep engine's
-    historical behaviour).  ``exponential=True`` doubles per attempt
-    (``base * 2**(attempt-1)``) -- the schedule the serving front-end
-    uses, where repeated failures should back a tenant off sharply
-    rather than gently.
-    """
-    if attempt < 1:
-        raise ValueError(f"attempt must be >= 1, got {attempt}")
-    unit = (
-        np.random.SeedSequence(entropy=(int(seed), int(attempt))).generate_state(1)[0]
-        / 2**32
-    )
-    growth = base * (2 ** (attempt - 1)) if exponential else base * attempt
-    return min(cap, growth * (0.5 + unit))
 
 
 @dataclass

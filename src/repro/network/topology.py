@@ -14,9 +14,9 @@ geometry.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.network.link import LinkModel
@@ -33,7 +33,8 @@ class CommunicationGraph:
 
     Nodes are sensor ids plus the base station (id ``BASE``); edges
     connect pairs within ``radio_range``.  Hop counts to the base station
-    drive the latency model.
+    drive the latency model.  ``positions`` maps each node to its
+    ``(x, y)``, base station first, then sensors in deployment order.
     """
 
     BASE = -1
@@ -51,20 +52,34 @@ class CommunicationGraph:
         self.radio_range = float(radio_range)
         self.base_station = (float(base_station[0]), float(base_station[1]))
 
-        self.graph = nx.Graph()
-        self.graph.add_node(self.BASE, pos=self.base_station)
+        self.positions: Dict[int, Tuple[float, float]] = {self.BASE: self.base_station}
         for sensor in sensors:
-            self.graph.add_node(sensor.sensor_id, pos=(sensor.x, sensor.y))
-        nodes = list(self.graph.nodes(data="pos"))
-        for i, (u, pu) in enumerate(nodes):
-            for v, pv in nodes[i + 1 :]:
-                if np.hypot(pu[0] - pv[0], pu[1] - pv[1]) <= radio_range:
-                    self.graph.add_edge(u, v)
+            self.positions[sensor.sensor_id] = (sensor.x, sensor.y)
+        nodes = list(self.positions)
+        xs = np.array([p[0] for p in self.positions.values()], dtype=float)
+        ys = np.array([p[1] for p in self.positions.values()], dtype=float)
+        # Each node's neighbours in the order its edges are added (pairs
+        # in node order), so the BFS below visits them deterministically.
+        adjacency: Dict[int, List[int]] = {node: [] for node in nodes}
+        for i, u in enumerate(nodes):
+            within = np.hypot(xs[i] - xs[i + 1 :], ys[i] - ys[i + 1 :]) <= radio_range
+            for j in np.flatnonzero(within):
+                v = nodes[i + 1 + j]
+                adjacency[u].append(v)
+                adjacency[v].append(u)
 
-        self._hops: Dict[int, int] = {}
-        if self.BASE in self.graph:
-            lengths = nx.single_source_shortest_path_length(self.graph, self.BASE)
-            self._hops = dict(lengths)
+        # Breadth-first from the base: a node's parent is the first
+        # neighbour, in visiting order, that reaches it.
+        self._hops: Dict[int, int] = {self.BASE: 0}
+        self._parents: Dict[int, int] = {}
+        queue = deque([self.BASE])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if v not in self._hops:
+                    self._hops[v] = self._hops[u] + 1
+                    self._parents[v] = u
+                    queue.append(v)
 
     def hop_count(self, sensor_id: int) -> Optional[int]:
         """Hops from the sensor to the base station; None if disconnected."""
@@ -72,7 +87,7 @@ class CommunicationGraph:
 
     def connected_fraction(self) -> float:
         """Fraction of sensors with a route to the base station."""
-        sensor_ids = [n for n in self.graph.nodes if n != self.BASE]
+        sensor_ids = [n for n in self.positions if n != self.BASE]
         if not sensor_ids:
             return 0.0
         reachable = sum(1 for s in sensor_ids if s in self._hops)
@@ -85,15 +100,7 @@ class CommunicationGraph:
 
     def routing_tree(self) -> Dict[int, int]:
         """Next-hop parent toward the base for each connected sensor."""
-        parents: Dict[int, int] = {}
-        if self.BASE not in self.graph:
-            return parents
-        for node, path in nx.single_source_shortest_path(
-            self.graph, self.BASE
-        ).items():
-            if node != self.BASE and len(path) >= 2:
-                parents[node] = path[-2]
-        return parents
+        return dict(self._parents)
 
 
 class MultiHopLink(LinkModel):

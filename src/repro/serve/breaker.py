@@ -8,7 +8,7 @@ admission control rejects the tenant while it is open, and after
 successful probe closes the breaker; a failed one re-opens it.
 
 Retry pacing reuses the sweep engine's deterministic, seed-derived
-jitter (:func:`repro.exp.engine.retry_backoff_seconds`) in its
+jitter (:func:`repro.sim.rng.retry_backoff_seconds`) in its
 exponential mode, so two replicas of the service retrying the same
 failing session back off by *different* amounts (seeded by session) yet
 each replica's schedule is reproducible run-to-run.
@@ -20,7 +20,7 @@ import time
 import zlib
 from typing import Callable, Dict, Optional
 
-from repro.exp.engine import retry_backoff_seconds
+from repro.sim.rng import retry_backoff_seconds
 
 __all__ = [
     "CLOSED",

@@ -128,7 +128,7 @@ def _delivery_to_dict(delivery: DeliveryModel) -> Dict[str, Any]:
             "contention_mean": link.contention_mean,
             "sensors": [
                 {"id": node, "x": pos[0], "y": pos[1]}
-                for node, pos in topology.graph.nodes(data="pos")
+                for node, pos in topology.positions.items()
                 if node != CommunicationGraph.BASE
             ],
         }

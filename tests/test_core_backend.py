@@ -16,6 +16,7 @@ Three contract families:
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.core.backend import (
 from repro.core.config import BACKEND_NAMES, LocalizerConfig
 from repro.core.estimator import extract_estimates
 from repro.core.localizer import MultiSourceLocalizer
+from repro.core.particles import ParticleSet
 from repro.core.weighting import reweight_in_place
 from repro.obs.metrics import MetricsRegistry
 from repro.physics.intensity import RadiationField
@@ -453,6 +455,24 @@ class TestFastParity:
                 float(np.hypot(e.x - ref.x, e.y - ref.y)) for e in fast
             )
             assert delta < 0.5
+
+    def test_meanshift_equal_shifts_do_not_warn(self):
+        # A 1-D cluster at x = 2**17, where float32 spacing (1/64) exceeds
+        # the convergence tolerance: shifts are quantized, so a row sees
+        # two equal consecutive shifts (contraction ratio exactly 1) on its
+        # way in.  Such a row is never boosted, and the kernel must not
+        # evaluate r / (1 - r) for it.
+        config = LocalizerConfig(area=(100.0, 100.0), meanshift_truncation_min_particles=0)
+        center, spread = 2.0**17, 3.0 * config.bandwidth
+        xs = center + np.linspace(-3 * spread, 3 * spread, 400)
+        weights = np.exp(-0.5 * ((xs - center) / spread) ** 2)
+        particles = ParticleSet(xs, np.zeros(400), np.ones(400), weights / weights.sum())
+        seeds = np.column_stack([center + np.linspace(-2 * spread, 2 * spread, 9), np.zeros(9)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes, _ = FastNumpyBackend().meanshift_modes(particles, seeds, config)
+        assert np.all(np.abs(modes[:, 0] - center) < 0.5 * spread)
+        assert np.all(modes[:, 1] == 0.0)
 
     def test_prefix_sum_parity(self):
         rng = np.random.default_rng(0)

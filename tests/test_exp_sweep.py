@@ -225,7 +225,7 @@ class TestRetryBackoff:
         assert retry_backoff_seconds(42, 1) != retry_backoff_seconds(42, 2)
 
     def test_bounds_scale_with_attempt_and_cap(self):
-        from repro.exp.engine import (
+        from repro.sim.rng import (
             RETRY_BACKOFF_BASE,
             RETRY_BACKOFF_MAX,
             retry_backoff_seconds,

@@ -56,6 +56,59 @@ class TestCommunicationGraph:
             CommunicationGraph(line_sensors(1), (0, 0), 0.0)
 
 
+def networkx_reference(sensors, base_station, radio_range):
+    """The unit-disk graph built with networkx, as the topology once was."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_node(CommunicationGraph.BASE, pos=base_station)
+    for sensor in sensors:
+        graph.add_node(sensor.sensor_id, pos=(sensor.x, sensor.y))
+    nodes = list(graph.nodes(data="pos"))
+    for i, (u, pu) in enumerate(nodes):
+        for v, pv in nodes[i + 1 :]:
+            if np.hypot(pu[0] - pv[0], pu[1] - pv[1]) <= radio_range:
+                graph.add_edge(u, v)
+    hops = dict(nx.single_source_shortest_path_length(graph, CommunicationGraph.BASE))
+    parents = {
+        node: path[-2]
+        for node, path in nx.single_source_shortest_path(
+            graph, CommunicationGraph.BASE
+        ).items()
+        if node != CommunicationGraph.BASE
+    }
+    return graph, hops, parents
+
+
+class TestNetworkxParity:
+    """The BFS over an adjacency dict routes exactly as networkx did."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_deployments_route_identically(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        ids = rng.permutation(200)[:n]
+        if seed % 3 == 0:
+            # Lattice positions: many equidistant neighbours, so the
+            # parent choice depends on the neighbour visiting order.
+            coords = rng.integers(0, 8, size=(n, 2)) * 10.0
+        else:
+            coords = rng.uniform(0.0, 100.0, size=(n, 2))
+        sensors = [Sensor(int(i), float(x), float(y)) for i, (x, y) in zip(ids, coords)]
+        base = (float(rng.uniform(0, 100)), float(rng.uniform(0, 100)))
+        radio_range = float(rng.uniform(8.0, 40.0))
+
+        graph = CommunicationGraph(sensors, base, radio_range)
+        ref_graph, ref_hops, ref_parents = networkx_reference(sensors, base, radio_range)
+
+        assert list(graph.positions) == list(ref_graph.nodes)
+        for node in ref_graph.nodes:
+            assert graph.hop_count(node) == ref_hops.get(node)
+        ref_max = max((h for v, h in ref_hops.items() if v != CommunicationGraph.BASE),
+                      default=0)
+        assert graph.max_hops() == ref_max
+        assert graph.routing_tree() == ref_parents
+
+
 class TestMultiHopLink:
     def test_latency_grows_with_depth(self):
         sensors = line_sensors(4)

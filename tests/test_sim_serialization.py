@@ -335,7 +335,7 @@ class TestCodecProperties:
         original_topo = delivery.link.topology
         restored_topo = restored.link.topology
         assert restored_topo.max_hops() == original_topo.max_hops()
-        for node in original_topo.graph.nodes:
+        for node in original_topo.positions:
             assert restored_topo.hop_count(node) == original_topo.hop_count(node)
 
     @settings(max_examples=60, deadline=None)
