@@ -65,7 +65,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.config import BACKEND_NAMES
 from repro.eval.aggregate import mean_over_steps
@@ -73,7 +73,7 @@ from repro.eval.reporting import format_health_series, format_series, format_tab
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry, format_metrics
 from repro.obs.report import format_trace_report, summarize_trace
-from repro.obs.trace import Tracer, jsonl_tracer
+from repro.obs.trace import jsonl_tracer
 from repro.obs.trends import (
     compare_manifests,
     compare_table,
@@ -83,6 +83,7 @@ from repro.obs.trends import (
     resolve_series,
     trend_table,
 )
+from repro.sim.results import RepeatedRunResult
 from repro.sim.runner import run_repeated
 from repro.sim.scenario import Scenario
 from repro.sim.session import SessionSpec, with_config
@@ -119,40 +120,16 @@ def configure_logging(verbose: int = 0, quiet: bool = False) -> None:
 def _build_scenario(args) -> tuple:
     """(scenario, fusion_policy) for the requested name."""
     name = args.scenario.lower()
+    common = dict(background_cpm=args.background, n_time_steps=args.steps)
     if name == "a":
-        return (
-            scenario_a(
-                strengths=(args.strength, args.strength),
-                background_cpm=args.background,
-                with_obstacle=args.obstacles,
-                n_time_steps=args.steps,
-            ),
-            None,
-        )
+        strengths = (args.strength,) * 2
+        return scenario_a(strengths, with_obstacle=args.obstacles, **common), None
     if name == "a3":
-        return (
-            scenario_a_three_sources(
-                strengths=(args.strength,) * 3,
-                background_cpm=args.background,
-                n_time_steps=args.steps,
-            ),
-            None,
-        )
+        return scenario_a_three_sources((args.strength,) * 3, **common), None
     if name == "b":
-        return (
-            scenario_b(
-                background_cpm=args.background,
-                with_obstacles=args.obstacles,
-                n_time_steps=args.steps,
-            ),
-            None,
-        )
+        return scenario_b(with_obstacles=args.obstacles, **common), None
     if name == "c":
-        scenario = scenario_c(
-            background_cpm=args.background,
-            with_obstacles=args.obstacles,
-            n_time_steps=args.steps,
-        )
+        scenario = scenario_c(with_obstacles=args.obstacles, **common)
         return scenario, scenario_c_fusion_policy(scenario)
     raise SystemExit(f"unknown scenario {args.scenario!r}; choose a, a3, b, or c")
 
@@ -163,7 +140,7 @@ def _configure(scenario: Scenario, args) -> Scenario:
     ``--backend`` has the highest selection precedence: it overwrites the
     config field, which in turn shadows the ``REPRO_BACKEND`` env var.
     """
-    if getattr(args, "faults", None):
+    if args.faults:
         from repro.faults import load_fault_schedule
 
         try:
@@ -176,34 +153,18 @@ def _configure(scenario: Scenario, args) -> Scenario:
             )
         except (ValueError, TypeError, KeyError) as exc:
             raise SystemExit(f"bad fault schedule {args.faults}: {exc}")
-    return with_config(
-        scenario,
-        backend=getattr(args, "backend", None),
-        integrity=getattr(args, "integrity", False),
-    )
+    return with_config(scenario, backend=args.backend, integrity=args.integrity)
 
 
-def _open_instrumentation(args):
-    """(tracer, registry) from the shared ``--trace``/``--metrics`` flags."""
-    tracer: Optional[Tracer] = jsonl_tracer(args.trace) if args.trace else None
-    registry: Optional[MetricsRegistry] = (
-        MetricsRegistry() if args.metrics else None
-    )
-    return tracer, registry
+def _checkpoint_dir(args) -> Optional[str]:
+    """``--checkpoint-dir``, which ``--checkpoint-every N`` (N > 0) requires."""
+    if args.checkpoint_every > 0 and args.checkpoint_dir is None:
+        raise SystemExit("--checkpoint-every needs --checkpoint-dir")
+    return args.checkpoint_dir
 
 
-def _print_instrumentation(args, registry) -> None:
-    """The post-run metrics/trace report for the shared flags."""
-    if registry is not None:
-        print()
-        print(format_metrics(registry.snapshot(), title="run metrics"))
-    if args.trace:
-        print(f"\nwrote trace to {args.trace} "
-              f"(summarize with: python -m repro report {args.trace})")
-
-
-def _print_aggregate(scenario, agg, args) -> None:
-    """The shared per-step metrics report for run / run-file / resume."""
+def _print_aggregate(scenario, agg, seed: int, health: bool) -> None:
+    """The per-step metrics report every session command prints."""
     print(format_series(agg.all_mean_series(), index_name="T"))
     print()
     skip = min(5, scenario.n_time_steps - 1)
@@ -215,7 +176,7 @@ def _print_aggregate(scenario, agg, args) -> None:
     fp = mean_over_steps(agg.mean_false_positive_series(), skip)
     fn = mean_over_steps(agg.mean_false_negative_series(), skip)
     print(f"\nsteady state: FP {fp:.2f}/step, FN {fn:.2f}/step")
-    if getattr(args, "health", False):
+    if health:
         first = agg.runs[0]
         print()
         print(
@@ -223,124 +184,134 @@ def _print_aggregate(scenario, agg, args) -> None:
                 first.health_series(),
                 [s.converged for s in first.steps],
                 title=f"population health (run 1 of {agg.n_repeats}, "
-                f"seed {args.seed})",
+                f"seed {seed})",
             )
         )
 
 
-def _open_ledger(args) -> Optional[Ledger]:
-    """The run ledger from the shared ``--ledger`` flag (None = off)."""
-    if getattr(args, "ledger", None) is None:
-        return None
-    return Ledger(args.ledger)
+def _drive(args, run: Callable) -> int:
+    """Run ``run(tracer, metrics, ledger)`` under the attachment flags.
 
-
-def _report_run(spec: SessionSpec, args) -> None:
-    """Run + report ``args.repeats`` copies of a spec (run / record / run-file)."""
-    if spec.record_path and (
-        args.repeats != 1 or args.workers or args.checkpoint_every > 0
-    ):
-        raise SystemExit(
-            "--stream recording requires a single serial uncheckpointed run "
-            "(--repeats 1, --workers 0, no --checkpoint-every)"
-        )
-    print(spec.scenario.describe())
-    tracer, registry = _open_instrumentation(args)
-    ledger = _open_ledger(args)
+    Owns ``--trace``/``--metrics``/``--ledger``: opens them, runs, flushes
+    the metrics into the trace, closes the trace, then prints the per-step
+    report and the notes.  ``run`` returns ``(scenario, aggregate, seed)``,
+    or None once it has printed why it failed (exit status 1).
+    """
+    tracer = jsonl_tracer(args.trace) if args.trace else None
+    registry = MetricsRegistry() if args.metrics else None
     try:
-        agg = run_repeated(
-            spec,
-            n_repeats=args.repeats,
-            base_seed=args.seed,
-            tracer=tracer,
-            metrics=registry,
-            workers=args.workers,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            ledger=ledger,
-            flight_dir=getattr(args, "flight_dir", None),
-        )
-        if tracer is not None and registry is not None:
+        outcome = run(tracer, registry, args.ledger)
+        if outcome is not None and tracer is not None and registry is not None:
             # The trace carries the final metrics snapshot too, so a
             # single file round-trips through ``repro report``.
             registry.flush_to(tracer.sink)
     finally:
         if tracer is not None:
             tracer.close()
-    _print_aggregate(spec.scenario, agg, args)
-    _print_instrumentation(args, registry)
-    if spec.record_path:
+    if outcome is None:
+        return 1
+    scenario, agg, seed = outcome
+    _print_aggregate(scenario, agg, seed, args.health)
+    if registry is not None:
+        print()
+        print(format_metrics(registry.snapshot(), title="run metrics"))
+    if args.trace:
+        print(f"\nwrote trace to {args.trace} "
+              f"(summarize with: python -m repro report {args.trace})")
+    if args.ledger is not None:
+        root = args.ledger.root
+        print(
+            f"\nappended {agg.n_repeats} manifest(s) to the ledger at {root} "
+            f"(inspect with: python -m repro report trends --ledger {root})"
+        )
+    return 0
+
+
+def _run_repeated(
+    args,
+    scenario: Scenario,
+    policy=None,
+    record_path: Optional[str] = None,
+    stream_id: Optional[str] = None,
+) -> int:
+    """``run`` / ``record`` / ``run-file``: ``--repeats`` runs of one spec."""
+    spec = SessionSpec(
+        scenario=_configure(scenario, args),
+        fusion_policy=policy,
+        record_path=record_path,
+        record_stream_id=stream_id,
+    )
+    if record_path and (
+        args.repeats != 1 or args.workers or args.checkpoint_every > 0
+    ):
+        raise SystemExit(
+            "--stream recording requires a single serial uncheckpointed run "
+            "(--repeats 1, --workers 0, no --checkpoint-every)"
+        )
+    checkpoint_dir = _checkpoint_dir(args)
+    print(spec.scenario.describe())
+
+    def run(tracer, metrics, ledger):
+        agg = run_repeated(
+            spec,
+            n_repeats=args.repeats,
+            base_seed=args.seed,
+            tracer=tracer,
+            metrics=metrics,
+            workers=args.workers,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
+            ledger=ledger,
+            flight_dir=args.flight_dir,
+        )
+        return spec.scenario, agg, args.seed
+
+    status = _drive(args, run)
+    if record_path:
         from repro.streams import read_header
 
-        header = read_header(spec.record_path)
+        header = read_header(record_path)
         print(
-            f"\nrecorded stream {header.stream_id} -> {spec.record_path} "
+            f"\nrecorded stream {header.stream_id} -> {record_path} "
             f"({header.n_time_steps} steps; replay with: "
-            f"python -m repro replay {spec.record_path})"
+            f"python -m repro replay {record_path})"
         )
-    if ledger is not None:
-        print(
-            f"\nappended {args.repeats} manifest(s) to the ledger at "
-            f"{ledger.root} (inspect with: "
-            f"python -m repro report trends --ledger {ledger.root})"
-        )
+    return status
 
 
-def _run_one(spec: SessionSpec, args, announce=None, pacer=None) -> int:
-    """Open one session from ``spec``, drive it and print the report."""
-    from repro.sim.results import RepeatedRunResult
+def _session_run(spec: SessionSpec, prepare: Callable) -> Callable:
+    """The ``_drive`` body of ``replay`` / ``resume``: one session of ``spec``.
+
+    ``prepare(session)`` runs between opening and stepping.
+    """
     from repro.sim.serialization import CheckpointError
     from repro.streams import StreamFormatError
 
-    tracer, registry = _open_instrumentation(args)
-    ledger = _open_ledger(args)
-    try:
+    def run(tracer, metrics, ledger):
         try:
             # ValueError: a stream shorter than the scenario it replays.
-            session = spec.open(tracer, registry, ledger)
+            session = spec.open(tracer, metrics, ledger)
         except (CheckpointError, StreamFormatError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
-            return 1
-        if pacer is not None:
-            session.source.pacer = pacer
-        if announce is not None:
-            announce(session)
+            return None
+        prepare(session)
         try:
             result = session.run()
         except StreamFormatError as exc:
             print(str(exc), file=sys.stderr)
-            return 1
-        if tracer is not None and registry is not None:
-            registry.flush_to(tracer.sink)
-    finally:
-        if tracer is not None:
-            tracer.close()
-    agg = RepeatedRunResult(
-        scenario_name=result.scenario_name,
-        source_labels=result.source_labels,
-        runs=[result],
-    )
-    args.seed = session.seed
-    _print_aggregate(session.scenario, agg, args)
-    _print_instrumentation(args, registry)
-    if ledger is not None:
-        print(f"\nappended the run manifest to the ledger at {ledger.root}")
-    return 0
+            return None
+        agg = RepeatedRunResult(
+            scenario_name=result.scenario_name,
+            source_labels=result.source_labels,
+            runs=[result],
+        )
+        return session.scenario, agg, session.seed
 
-
-def _run_spec(args, scenario: Scenario, policy=None) -> SessionSpec:
-    """The spec ``run`` / ``record`` / ``run-file`` repeat."""
-    return SessionSpec(
-        scenario=_configure(scenario, args),
-        fusion_policy=policy,
-        record_path=getattr(args, "stream", None),
-        record_stream_id=getattr(args, "stream_id", None),
-    )
+    return run
 
 
 def cmd_run(args) -> int:
-    _report_run(_run_spec(args, *_build_scenario(args)), args)
-    return 0
+    return _run_repeated(args, *_build_scenario(args), args.stream)
 
 
 def cmd_record(args) -> int:
@@ -350,14 +321,13 @@ def cmd_record(args) -> int:
     clean measurement realization; a replay re-applies (or swaps) the
     fault schedule deterministically on top of it.
     """
-    # The record command is a single serial run by construction.
-    args.stream = args.out
-    args.repeats = 1
-    args.workers = 0
-    args.checkpoint_every = 0
-    args.checkpoint_dir = None
-    _report_run(_run_spec(args, *_build_scenario(args)), args)
-    return 0
+    return _run_repeated(args, *_build_scenario(args), args.out, args.stream_id)
+
+
+def cmd_run_file(args) -> int:
+    from repro.sim.serialization import load_scenario
+
+    return _run_repeated(args, load_scenario(args.path), None, args.stream)
 
 
 def cmd_replay(args) -> int:
@@ -382,11 +352,10 @@ def cmd_replay(args) -> int:
         scenario = scenario.with_faults(None)
     scenario = _configure(scenario, args)
     seed = args.seed if args.seed is not None else header.seed
+    checkpoint_dir = _checkpoint_dir(args)
     checkpoint_path = None
     if args.checkpoint_every > 0:
-        if args.checkpoint_dir is None:
-            raise SystemExit("--checkpoint-every needs --checkpoint-dir")
-        checkpoint_path = str(Path(args.checkpoint_dir) / "replay.ckpt.json")
+        checkpoint_path = str(Path(checkpoint_dir) / "replay.ckpt.json")
     spec = SessionSpec(
         scenario=scenario,
         stream_path=args.stream,
@@ -402,14 +371,43 @@ def cmd_replay(args) -> int:
         f"replaying stream {header.stream_id} ({header.n_time_steps} steps, "
         f"recorded seed {header.seed}, replay seed {seed})"
     )
-    pacer = WallClockPacer(speed=args.speed) if args.pace == "wall" else None
-    status = _run_one(spec, args, pacer=pacer)
+
+    def pace(session) -> None:
+        if args.pace == "wall":
+            session.source.pacer = WallClockPacer(speed=args.speed)
+
+    status = _drive(args, _session_run(spec, pace))
     if status == 0 and checkpoint_path is not None:
         print(
             f"\ncheckpointed to {checkpoint_path} (resume with: python -m "
             f"repro resume {checkpoint_path} --stream {args.stream})"
         )
     return status
+
+
+def cmd_resume(args) -> int:
+    spec = SessionSpec(
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        stream_path=args.stream,
+        backend=args.backend,
+        strict_backend=args.strict_backend,
+        flight_path=args.flight,
+    )
+    if not spec.resumable:
+        print(f"cannot read checkpoint {args.checkpoint}: no such file",
+              file=sys.stderr)
+        return 1
+
+    def announce(session) -> None:
+        print(session.scenario.describe())
+        print(
+            f"resumed at step {session.step_index}/"
+            f"{session.scenario.n_time_steps}"
+            + (" (already finished)" if session.finished else "")
+        )
+
+    return _drive(args, _session_run(spec, announce))
 
 
 def cmd_report_trace(args) -> int:
@@ -448,35 +446,50 @@ def cmd_report_trends(args) -> int:
             )
             return 1
     if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "series": name,
-                    "entries": [m.to_dict() for m in manifests],
-                },
-                indent=2,
-            )
-        )
+        entries = [m.to_dict() for m in manifests]
+        print(json.dumps({"series": name, "entries": entries}, indent=2))
     else:
         print(trend_table(name, manifests, metrics=args.metrics, last=args.last))
     return 0
 
 
-def cmd_report_compare(args) -> int:
+def _compare(args) -> Optional[dict]:
+    """Load two manifests, compare them and print the table (or JSON).
+
+    The baseline is the last entry of ``--baseline``; the current one is
+    the last entry of ``current``, or -- for ``gate`` without
+    ``--current`` -- the baseline series' latest entry, gated against its
+    previous one.  Returns the gate report, or None once a one-line
+    message says why the inputs are unusable.
+    """
     try:
-        baseline = load_manifest_source(args.baseline)[-1]
-        current = load_manifest_source(args.current)[-1]
+        history = load_manifest_source(args.baseline)
+        if args.current is not None:
+            baseline = history[-1]
+            current = load_manifest_source(args.current)[-1]
+        elif len(history) >= 2:
+            baseline, current = history[-2], history[-1]
+        else:
+            raise ValueError(
+                f"{args.baseline}: only {len(history)} manifest(s); "
+                "gating needs --current or a series with >= 2 entries"
+            )
         checks = compare_manifests(
             baseline, current, tolerance=args.tolerance, metrics=args.metrics
         )
     except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
-        return 1
+        return None
+    report = gate_report(baseline, current, checks)
     if args.as_json:
-        print(json.dumps(gate_report(baseline, current, checks), indent=2))
+        print(json.dumps(report, indent=2))
     else:
         print(compare_table(baseline, current, checks))
-    return 0
+    return report
+
+
+def cmd_report_compare(args) -> int:
+    return 0 if _compare(args) is not None else 1
 
 
 def cmd_report_gate(args) -> int:
@@ -488,31 +501,10 @@ def cmd_report_gate(args) -> int:
     baseline source's last entry.  Data/usage problems exit 2 so CI can
     tell a true regression from a broken gate.
     """
-    try:
-        history = load_manifest_source(args.baseline)
-        if args.current is not None:
-            baseline = history[-1]
-            current = load_manifest_source(args.current)[-1]
-        elif len(history) >= 2:
-            baseline, current = history[-2], history[-1]
-        else:
-            print(
-                f"{args.baseline}: only {len(history)} manifest(s); "
-                "gating needs --current or a series with >= 2 entries",
-                file=sys.stderr,
-            )
-            return 2
-        checks = compare_manifests(
-            baseline, current, tolerance=args.tolerance, metrics=args.metrics
-        )
-    except (OSError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
+    report = _compare(args)
+    if report is None:
         return 2
-    report = gate_report(baseline, current, checks)
-    if args.as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(compare_table(baseline, current, checks))
+    if not args.as_json:
         print(
             f"\ngate: {report['n_gated']} gated metric(s), "
             f"{report['n_regressed']} regression(s) -> "
@@ -541,18 +533,13 @@ def cmd_sweep(args) -> int:
     # The sweep engine loads only for this command, not for every CLI start.
     from repro.exp import SweepSpec, Variant, run_sweep
 
+    checkpoint_dir = _checkpoint_dir(args)
     variants = []
     for value in args.values:
         if args.parameter == "strength":
-            scenario = scenario_a(
-                strengths=(value, value), n_time_steps=args.steps
-            )
+            scenario = scenario_a((value, value), n_time_steps=args.steps)
         else:
-            scenario = scenario_a(
-                strengths=(args.strength, args.strength),
-                background_cpm=value,
-                n_time_steps=args.steps,
-            )
+            scenario = scenario_a((args.strength,) * 2, value, n_time_steps=args.steps)
         variants.append(
             Variant(f"{args.parameter}={value:g}", _configure(scenario, args))
         )
@@ -567,22 +554,20 @@ def cmd_sweep(args) -> int:
         workers=args.workers,
         metrics=registry,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir,
-        ledger=_open_ledger(args),
+        checkpoint_dir=checkpoint_dir,
+        ledger=args.ledger,
     )
     rows = []
     for value, variant in zip(args.values, variants):
         agg = sweep[variant.name]
         skip = min(5, variant.scenario.n_time_steps - 1)
-        rows.append(
-            [
-                value,
-                round(mean_over_steps(agg.mean_error_series(0), skip), 2),
-                round(mean_over_steps(agg.mean_error_series(1), skip), 2),
-                round(mean_over_steps(agg.mean_false_positive_series(), skip), 2),
-                round(mean_over_steps(agg.mean_false_negative_series(), skip), 2),
-            ]
+        series = (
+            agg.mean_error_series(0),
+            agg.mean_error_series(1),
+            agg.mean_false_positive_series(),
+            agg.mean_false_negative_series(),
         )
+        rows.append([value] + [round(mean_over_steps(s, skip), 2) for s in series])
     mode = f"workers={args.workers}" if args.workers else "serial"
     print(
         format_table(
@@ -616,38 +601,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_run_file(args) -> int:
-    from repro.sim.serialization import load_scenario
-
-    _report_run(_run_spec(args, load_scenario(args.path)), args)
-    return 0
-
-
-def cmd_resume(args) -> int:
-    spec = SessionSpec(
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        stream_path=args.stream,
-        backend=args.backend,
-        strict_backend=args.strict_backend,
-        flight_path=args.flight,
-    )
-    if not spec.resumable:
-        print(f"cannot read checkpoint {args.checkpoint}: no such file",
-              file=sys.stderr)
-        return 1
-
-    def announce(session) -> None:
-        print(session.scenario.describe())
-        print(
-            f"resumed at step {session.step_index}/"
-            f"{session.scenario.n_time_steps}"
-            + (" (already finished)" if session.finished else "")
-        )
-
-    return _run_one(spec, args, announce=announce)
-
-
 def cmd_serve(args) -> int:
     import asyncio
     import tempfile
@@ -667,9 +620,8 @@ def cmd_serve(args) -> int:
     checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
         prefix="repro-serve-"
     )
-    tracer, _ = _open_instrumentation(args)
+    tracer = jsonl_tracer(args.trace) if args.trace else None
     registry = MetricsRegistry()  # the summary always needs service.*
-    ledger = _open_ledger(args)
     config = ServiceConfig(
         checkpoint_dir=checkpoint_dir,
         n_shards=args.shards,
@@ -682,13 +634,11 @@ def cmd_serve(args) -> int:
 
     async def drive():
         service = LocalizationService(
-            config, tracer=tracer, metrics=registry, ledger=ledger
+            config, tracer=tracer, metrics=registry, ledger=args.ledger
         )
         try:
             if args.health_port is not None:
-                host, port = await service.serve_health(
-                    port=args.health_port
-                )
+                host, port = await service.serve_health(port=args.health_port)
                 print(f"health endpoint on {host}:{port}", file=sys.stderr)
             session_ids = []
             for i, path in enumerate(streams):
@@ -711,9 +661,7 @@ def cmd_serve(args) -> int:
                     "session_id": session_id,
                     "scenario": result["scenario_name"],
                     "steps": len(result["steps"]),
-                    "resurrections": service.sessions[
-                        session_id
-                    ].resurrections,
+                    "resurrections": service.sessions[session_id].resurrections,
                 }
                 for session_id, result in zip(session_ids, results)
             ]
@@ -739,12 +687,145 @@ def cmd_serve(args) -> int:
         print(f"serve failed: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, indent=2))
-    if ledger is not None:
+    if args.ledger is not None:
         print(
-            f"\nappended the serve manifest to the ledger at {ledger.root}",
+            f"\nappended the serve manifest to the ledger at {args.ledger.root}",
             file=sys.stderr,
         )
     return 0 if summary["shed"] == 0 else 1
+
+
+# --- the flag table -------------------------------------------------------------
+
+
+def _number(parse: Callable, minimum: float, exclusive: bool = False) -> Callable:
+    """An argparse ``type``: ``parse`` the text, then require ``>= minimum``
+    (``> minimum`` when ``exclusive``), so a bad value exits 2 with one
+    usage line instead of a traceback from deep inside a run."""
+
+    def check(text: str):
+        value = parse(text)
+        if not (value > minimum if exclusive else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if exclusive else '>='} {minimum}, got {text}"
+            )
+        return value
+
+    check.__name__ = parse.__name__  # "invalid int value: 'x'"
+    return check
+
+
+_COUNT = _number(int, 1)
+_NATURAL = _number(int, 0)
+_AMOUNT = _number(float, 0.0)
+_POSITIVE = _number(float, 0.0, exclusive=True)
+
+
+def _flag(*names, **kwargs) -> tuple:
+    """One ``add_argument`` call, as a group of one (groups add with ``+``)."""
+    return ((names, kwargs),)
+
+
+_SCENARIO = _flag("scenario", help="a, a3, b, or c")
+_SEED = _flag("--seed", type=_NATURAL, default=0, help="base seed (default 0)")
+_SCENARIO_OPTIONS = (
+    _flag("--steps", type=_COUNT, default=30, help="time steps (default 30)")
+    + _SEED
+    + _flag("--strength", type=_AMOUNT, default=10.0,
+            help="source strength in uCi for Scenario A (default 10)")
+    + _flag("--background", type=_AMOUNT, default=5.0,
+            help="background CPM (default 5)")
+    + _flag("--obstacles", action="store_true",
+            help="include the scenario's obstacles")
+)
+_TRACE_METRICS = _flag(
+    "--trace", metavar="PATH", default=None,
+    help="write a JSONL trace of every pipeline phase",
+) + _flag("--metrics", action="store_true", help="collect and print metrics")
+_INSTRUMENTATION = _TRACE_METRICS + _flag(
+    "--health", action="store_true",
+    help="print the per-step population-health table",
+)
+_BACKEND = _flag(
+    "--backend", default=None, choices=BACKEND_NAMES,
+    help="array backend for the localizer hot path (overrides the "
+    "scenario config and REPRO_BACKEND; see docs/PERFORMANCE.md)",
+)
+_FAULTS = _flag(
+    "--faults", metavar="SPEC.json", default=None,
+    help="inject faults from a fault-schedule JSON document "
+    "(see docs/ROBUSTNESS.md)",
+) + _flag(
+    "--integrity", action="store_true",
+    help="enable the sensor-integrity layer (credibility "
+    "down-weighting and quarantine of suspect sensors)",
+)
+_CHECKPOINT_EVERY = _flag(
+    "--checkpoint-every", type=_NATURAL, default=0, metavar="N",
+    help="snapshot the full run state every N steps (0 = off)",
+)
+_CHECKPOINTS = _CHECKPOINT_EVERY + _flag(
+    "--checkpoint-dir", default=None, metavar="DIR",
+    help="directory for the checkpoint files (required with "
+    "--checkpoint-every; resume one with: python -m repro resume FILE)",
+)
+_LEDGER = _flag(
+    "--ledger", type=Ledger, default=None, metavar="DIR",
+    help="append one run manifest per run to the ledger at DIR "
+    "(inspect with: python -m repro report trends --ledger DIR)",
+)
+_REPEATS = _flag(
+    "--repeats", type=_COUNT, default=3,
+    help="runs to average (default 3; paper uses 10)",
+) + _flag(
+    "--workers", type=_NATURAL, default=0,
+    help="fan repeats out to N worker processes (0 = serial; "
+    "results are bitwise-identical either way)",
+)
+_RECORDING = _flag(
+    "--stream", default=None, metavar="PATH",
+    help="record the run's raw measurement batches to a "
+    "repro-stream file (single serial run only; replay with: "
+    "python -m repro replay PATH)",
+) + _flag(
+    "--flight-dir", default=None, metavar="DIR",
+    help="arm a flight recorder per run; on a crash the last "
+    "trace events dump to DIR/run-<r>.flight.json",
+)
+_JSON = _flag(
+    "--json", action="store_true", dest="as_json",
+    help="emit a machine-readable JSON document instead of tables",
+)
+_COMPARISON = _flag(
+    "--tolerance", type=_AMOUNT, default=0.10, metavar="FRAC",
+    help="relative tolerance before a delta counts as a regression "
+    "(default 0.10)",
+) + _flag(
+    "--metrics", nargs="+", default=None, metavar="NAME",
+    help="check (and force-gate) only these metrics",
+)
+
+
+def _verbosity() -> argparse.ArgumentParser:
+    """The ``-v``/``-q`` parent parser every command inherits."""
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
+        "-v", "--verbose", action="count", default=0,
+        help="log progress (-v info, -vv debug)",
+    )
+    group.add_argument("-q", "--quiet", action="store_true", help="only log errors")
+    return parser
+
+
+def _command(sub, name: str, func: Callable, help: str, *groups, **defaults):
+    """Add one subcommand built from flag groups; ``defaults`` fix values."""
+    parser = sub.add_parser(name, help=help, parents=[_verbosity()])
+    for group in groups:
+        for names, kwargs in group:
+            parser.add_argument(*names, **kwargs)
+    parser.set_defaults(func=func, **defaults)
+    return parser
 
 
 #: ``report``'s nested subcommands; a bare path is shorthand for ``trace``.
@@ -782,408 +863,172 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multiple radiation source localization (ICDCS 2011 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    session = _INSTRUMENTATION + _BACKEND + _LEDGER
 
-    def workers_flag(p):
-        p.add_argument(
-            "--workers", type=int, default=0,
-            help="fan repeats out to N worker processes (0 = serial; "
-            "results are bitwise-identical either way)",
-        )
-
-    def logging_flags(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "-v", "--verbose", action="count", default=0,
-            help="log progress (-v info, -vv debug)",
-        )
-        group.add_argument(
-            "-q", "--quiet", action="store_true",
-            help="only log errors",
-        )
-
-    def instrumentation_flags(p):
-        p.add_argument("--trace", metavar="PATH", default=None,
-                       help="write a JSONL trace of every pipeline phase")
-        p.add_argument("--metrics", action="store_true",
-                       help="aggregate and print run metrics")
-        p.add_argument("--health", action="store_true",
-                       help="print the per-step population-health table")
-
-    def backend_flag(p):
-        p.add_argument(
-            "--backend", default=None, choices=BACKEND_NAMES,
-            help="array backend for the localizer hot path (overrides the "
-            "scenario config and REPRO_BACKEND; see docs/PERFORMANCE.md)",
-        )
-
-    def fault_flags(p):
-        p.add_argument(
-            "--faults", metavar="SPEC.json", default=None,
-            help="inject faults from a fault-schedule JSON document "
-            "(see docs/ROBUSTNESS.md)",
-        )
-        p.add_argument(
-            "--integrity", action="store_true",
-            help="enable the sensor-integrity layer (credibility "
-            "down-weighting and quarantine of suspect sensors)",
-        )
-
-    def checkpoint_flags(p):
-        p.add_argument(
-            "--checkpoint-every", type=int, default=0, metavar="N",
-            help="snapshot full run state every N steps (0 = off); "
-            "resume with: python -m repro resume <checkpoint>",
-        )
-        p.add_argument(
-            "--checkpoint-dir", default=None, metavar="DIR",
-            help="directory for per-run checkpoint files "
-            "(required with --checkpoint-every)",
-        )
-
-    def ledger_flags(p, flight: bool = True):
-        p.add_argument(
-            "--ledger", default=None, metavar="DIR",
-            help="append one run manifest per run to the ledger at DIR "
-            "(inspect with: python -m repro report trends --ledger DIR)",
-        )
-        if flight:
-            p.add_argument(
-                "--flight-dir", default=None, metavar="DIR",
-                help="arm a flight recorder per run; on a crash the last "
-                "trace events dump to DIR/run-<r>.flight.json",
-            )
-
-    def common(p):
-        logging_flags(p)
-        p.add_argument("--steps", type=int, default=30, help="time steps (default 30)")
-        p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-        p.add_argument("--strength", type=float, default=10.0,
-                       help="source strength in uCi for Scenario A (default 10)")
-        p.add_argument("--background", type=float, default=5.0,
-                       help="background CPM (default 5)")
-        p.add_argument("--obstacles", action="store_true",
-                       help="include the scenario's obstacles")
-
-    def stream_record_flag(p):
-        p.add_argument(
-            "--stream", default=None, metavar="PATH",
-            help="record the run's raw measurement batches to a "
-            "repro-stream file (single serial run only; replay with: "
-            "python -m repro replay PATH)",
-        )
-
-    run_parser = sub.add_parser("run", help="run a scenario and print metrics")
-    run_parser.add_argument("scenario", help="a, a3, b, or c")
-    run_parser.add_argument("--repeats", type=int, default=3,
-                            help="runs to average (default 3; paper uses 10)")
-    instrumentation_flags(run_parser)
-    backend_flag(run_parser)
-    fault_flags(run_parser)
-    checkpoint_flags(run_parser)
-    ledger_flags(run_parser)
-    workers_flag(run_parser)
-    stream_record_flag(run_parser)
-    common(run_parser)
-    run_parser.set_defaults(func=cmd_run)
-
-    record_parser = sub.add_parser(
-        "record",
-        help="run a scenario once and record its measurement stream",
+    _command(
+        sub, "run", cmd_run, "run a scenario and print metrics",
+        _SCENARIO, _SCENARIO_OPTIONS, _REPEATS, session, _FAULTS,
+        _CHECKPOINTS, _RECORDING,
     )
-    record_parser.add_argument("scenario", help="a, a3, b, or c")
-    record_parser.add_argument(
-        "--out", required=True, metavar="PATH",
-        help="stream file to write (repro-stream v1 JSONL)",
+    _command(
+        sub, "record", cmd_record,
+        "run a scenario once and record its measurement stream",
+        _SCENARIO, _SCENARIO_OPTIONS, session, _FAULTS,
+        _flag("--out", required=True, metavar="PATH",
+              help="stream file to write (repro-stream v1 JSONL)"),
+        _flag("--stream-id", default=None, metavar="ID", dest="stream_id",
+              help="stream id for the header (default: derived from the "
+              "scenario name, seed, and config hash)"),
+        # A recording is one serial, uncheckpointed run by construction.
+        repeats=1, workers=0, checkpoint_every=0, checkpoint_dir=None,
+        flight_dir=None,
     )
-    record_parser.add_argument(
-        "--stream-id", default=None, metavar="ID", dest="stream_id",
-        help="stream id for the header (default: derived from the "
-        "scenario name, seed, and config hash)",
+    _command(
+        sub, "run-file", cmd_run_file, "run a scenario from a JSON document",
+        _flag("path", help="scenario JSON path"), _SEED, _REPEATS, session,
+        _FAULTS, _CHECKPOINTS, _RECORDING,
     )
-    instrumentation_flags(record_parser)
-    backend_flag(record_parser)
-    fault_flags(record_parser)
-    ledger_flags(record_parser, flight=False)
-    common(record_parser)
-    record_parser.set_defaults(func=cmd_record)
-
-    replay_parser = sub.add_parser(
-        "replay", help="re-run the localizer over a recorded stream file"
+    _command(
+        sub, "replay", cmd_replay,
+        "re-run the localizer over a recorded stream file",
+        _flag("stream", help="recorded stream path (from record or run --stream)"),
+        _flag("--seed", type=_NATURAL, default=None,
+              help="override the header seed (default: the recorded seed, "
+              "which reproduces the recorded run bitwise)"),
+        _flag("--pace", choices=("fast", "wall"), default="fast",
+              help="fast = as fast as possible (default); wall = follow the "
+              "recorded timestamps in wall-clock time"),
+        _flag("--speed", type=_POSITIVE, default=1.0,
+              help="wall-clock pacing multiplier (--pace wall; 2.0 = twice "
+              "real time)"),
+        _flag("--no-faults", action="store_true",
+              help="strip the recorded fault schedule (clean replay); "
+              "--faults swaps in a different schedule instead"),
+        _flag("--fusion-auto", action="store_true",
+              help="derive Scenario C's auto fusion-range policy from the "
+              "replayed scenario (use when the recording ran with it)"),
+        session, _FAULTS, _CHECKPOINTS,
     )
-    replay_parser.add_argument(
-        "stream", help="recorded stream path (from record or run --stream)"
+    _command(
+        sub, "resume", cmd_resume, "resume a checkpointed run to completion",
+        _flag("checkpoint",
+              help="checkpoint JSON path (written by --checkpoint-every)"),
+        _CHECKPOINT_EVERY,
+        _flag("--flight", default=None, metavar="PATH",
+              help="arm a flight recorder; on a crash the last trace events "
+              "dump to PATH"),
+        _flag("--stream", default=None, metavar="PATH",
+              help="recorded stream path for a replay checkpoint whose stream "
+              "file has moved (default: the path stored in the checkpoint)"),
+        _flag("--strict-backend", action="store_true",
+              help="refuse to restore under a different array backend than "
+              "the one that wrote the checkpoint (default: warn and continue)"),
+        session,
     )
-    replay_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="override the header seed (default: the recorded seed, "
-        "which reproduces the recorded run bitwise)",
-    )
-    replay_parser.add_argument(
-        "--pace", choices=("fast", "wall"), default="fast",
-        help="fast = as fast as possible (default); wall = follow the "
-        "recorded timestamps in wall-clock time",
-    )
-    replay_parser.add_argument(
-        "--speed", type=float, default=1.0,
-        help="wall-clock pacing multiplier (--pace wall; 2.0 = twice "
-        "real time)",
-    )
-    replay_parser.add_argument(
-        "--no-faults", action="store_true",
-        help="strip the recorded fault schedule (clean replay); "
-        "--faults swaps in a different schedule instead",
-    )
-    replay_parser.add_argument(
-        "--fusion-auto", action="store_true",
-        help="derive Scenario C's auto fusion-range policy from the "
-        "replayed scenario (use when the recording ran with it)",
-    )
-    instrumentation_flags(replay_parser)
-    backend_flag(replay_parser)
-    fault_flags(replay_parser)
-    checkpoint_flags(replay_parser)
-    ledger_flags(replay_parser, flight=False)
-    logging_flags(replay_parser)
-    replay_parser.set_defaults(func=cmd_replay)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="drive recorded streams through the multi-tenant serving "
+    _command(
+        sub, "serve", cmd_serve,
+        "drive recorded streams through the multi-tenant serving "
         "front-end (admission, shards, checkpoint-backed self-healing)",
+        _flag("streams", nargs="+", metavar="STREAM",
+              help="one recorded ``repro-stream v1`` file per session to serve"),
+        _flag("--shards", type=_COUNT, default=2, metavar="N",
+              help="worker-process shard count (default: 2)"),
+        _flag("--inline", action="store_true",
+              help="run shards in-process instead of worker processes "
+              "(deterministic, no chaos coverage; the test fast path)"),
+        _flag("--tenant", default="cli", metavar="NAME",
+              help="tenant all sessions are submitted under (default: cli)"),
+        _flag("--checkpoint-dir", default=None, metavar="DIR",
+              help="directory for per-session eviction/resurrection snapshots "
+              "(default: a fresh temporary directory)"),
+        _flag("--checkpoint-every", type=_COUNT, default=1, metavar="N",
+              help="snapshot cadence armed on every hosted session (default: 1)"),
+        _flag("--steps-per-call", type=_COUNT, default=4, metavar="N",
+              help="steps advanced per shard round-trip (default: 4)"),
+        _flag("--step-timeout", type=_POSITIVE, default=60.0, metavar="SECONDS",
+              help="deadline on any single shard call (default: 60)"),
+        _flag("--max-sessions", type=_COUNT, default=256, metavar="N",
+              help="admission-control service capacity (default: 256)"),
+        _flag("--health-port", type=_NATURAL, default=None, metavar="PORT",
+              help="expose the line-JSON health/ready/metrics endpoint on "
+              "127.0.0.1:PORT while serving (0 = ephemeral port)"),
+        _TRACE_METRICS, _LEDGER,
     )
-    serve_parser.add_argument(
-        "streams", nargs="+", metavar="STREAM",
-        help="one recorded ``repro-stream v1`` file per session to serve",
-    )
-    serve_parser.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="worker-process shard count (default: 2)",
-    )
-    serve_parser.add_argument(
-        "--inline", action="store_true",
-        help="run shards in-process instead of worker processes "
-        "(deterministic, no chaos coverage; the test fast path)",
-    )
-    serve_parser.add_argument(
-        "--tenant", default="cli", metavar="NAME",
-        help="tenant all sessions are submitted under (default: cli)",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="directory for per-session eviction/resurrection snapshots "
-        "(default: a fresh temporary directory)",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="snapshot cadence armed on every hosted session (default: 1)",
-    )
-    serve_parser.add_argument(
-        "--steps-per-call", type=int, default=4, metavar="N",
-        help="steps advanced per shard round-trip (default: 4)",
-    )
-    serve_parser.add_argument(
-        "--step-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="deadline on any single shard call (default: 60)",
-    )
-    serve_parser.add_argument(
-        "--max-sessions", type=int, default=256, metavar="N",
-        help="admission-control service capacity (default: 256)",
-    )
-    serve_parser.add_argument(
-        "--health-port", type=int, default=None, metavar="PORT",
-        help="expose the line-JSON health/ready/metrics endpoint on "
-        "127.0.0.1:PORT while serving (0 = ephemeral port)",
-    )
-    serve_parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSONL trace of every service transition",
-    )
-    serve_parser.add_argument(
-        "--metrics", action="store_true",
-        help="include the full service metrics snapshot in the summary",
-    )
-    ledger_flags(serve_parser, flight=False)
-    logging_flags(serve_parser)
-    serve_parser.set_defaults(func=cmd_serve)
 
-    resume_parser = sub.add_parser(
-        "resume", help="resume a checkpointed run to completion"
-    )
-    resume_parser.add_argument(
-        "checkpoint", help="checkpoint JSON path (written by --checkpoint-every)"
-    )
-    resume_parser.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="N",
-        help="keep snapshotting every N steps to the same file (0 = off)",
-    )
-    ledger_flags(resume_parser, flight=False)
-    resume_parser.add_argument(
-        "--flight", default=None, metavar="PATH",
-        help="arm a flight recorder; on a crash the last trace events "
-        "dump to PATH",
-    )
-    resume_parser.add_argument(
-        "--stream", default=None, metavar="PATH",
-        help="recorded stream path for a replay checkpoint whose stream "
-        "file has moved (default: the path stored in the checkpoint)",
-    )
-    backend_flag(resume_parser)
-    resume_parser.add_argument(
-        "--strict-backend", action="store_true",
-        help="refuse to restore under a different array backend than the "
-        "one that wrote the checkpoint (default: warn and continue)",
-    )
-    instrumentation_flags(resume_parser)
-    logging_flags(resume_parser)
-    resume_parser.set_defaults(func=cmd_resume)
-
-    report_parser = sub.add_parser(
+    report = sub.add_parser(
         "report",
         help="observability readout: trace summaries, ledger trends, "
         "manifest compare, and the regression gate",
     )
-    report_sub = report_parser.add_subparsers(dest="report_command", required=True)
+    report_sub = report.add_subparsers(dest="report_command", required=True)
+    _command(
+        report_sub, "trace", cmd_report_trace,
+        "summarize a JSONL trace (phase times, health, counts)",
+        _flag("path", help="trace JSONL path (from run --trace)"), _JSON,
+    )
+    _command(
+        report_sub, "trends", cmd_report_trends,
+        "tabulate a ledger series' metric history",
+        _flag("series", nargs="?", default=None,
+              help="series name (optional when the ledger has exactly one)"),
+        _flag("--ledger", default=None, metavar="DIR",
+              help="ledger root (default: $REPRO_LEDGER_DIR or .repro/ledger)"),
+        _flag("--source", default=None, metavar="FILE",
+              help="read manifests from a file (ledger JSONL, manifest JSON, "
+              "or BENCH_*.json) instead of the ledger"),
+        _flag("--metrics", nargs="+", default=None, metavar="NAME",
+              help="only these metric columns"),
+        _flag("--last", type=_NATURAL, default=0, metavar="N",
+              help="only the last N entries (0 = all)"),
+        _flag("--stream", default=None, metavar="ID",
+              help="only entries that replayed this stream id "
+              "('live' = only non-replayed runs)"),
+        _JSON,
+    )
+    _command(
+        report_sub, "compare", cmd_report_compare,
+        "diff the metrics of two manifest sources",
+        _flag("baseline",
+              help="manifest source (ledger JSONL / JSON / BENCH_*.json)"),
+        _flag("current", help="manifest source to compare"),
+        _COMPARISON, _JSON,
+    )
+    _command(
+        report_sub, "gate", cmd_report_gate,
+        "exit nonzero when a tracked metric regressed beyond tolerance",
+        _flag("--baseline", required=True, metavar="SRC",
+              help="baseline manifest source; alone, a series with >= 2 "
+              "entries gates latest against previous"),
+        _flag("--current", default=None, metavar="SRC",
+              help="manifest source to gate (e.g. a fresh BENCH_*.json); "
+              "default: the baseline series' latest entry vs its previous"),
+        _COMPARISON, _JSON,
+    )
 
-    def json_flag(p):
-        p.add_argument(
-            "--json", action="store_true", dest="as_json",
-            help="emit a machine-readable JSON document instead of tables",
-        )
-
-    trace_parser = report_sub.add_parser(
-        "trace", help="summarize a JSONL trace (phase times, health, counts)"
+    _command(
+        sub, "layout", cmd_layout, "render a scenario layout",
+        _SCENARIO,
+        _flag("--cols", type=_number(int, 4), default=72,
+              help="map width (at least 4: the map is cols x cols/2)"),
+        _SCENARIO_OPTIONS,
     )
-    trace_parser.add_argument("path", help="trace JSONL path (from run --trace)")
-    json_flag(trace_parser)
-    logging_flags(trace_parser)
-    trace_parser.set_defaults(func=cmd_report_trace)
-
-    trends_parser = report_sub.add_parser(
-        "trends", help="tabulate a ledger series' metric history"
+    _command(
+        sub, "sweep", cmd_sweep, "parameter sweep on Scenario A",
+        _flag("parameter", choices=("strength", "background")),
+        _flag("--values", type=_AMOUNT, nargs="+", required=True),
+        _SCENARIO_OPTIONS, _REPEATS, _BACKEND, _FAULTS, _CHECKPOINTS, _LEDGER,
     )
-    trends_parser.add_argument(
-        "series", nargs="?", default=None,
-        help="series name (optional when the ledger has exactly one)",
+    _command(
+        sub, "export", cmd_export, "write a scenario to JSON",
+        _SCENARIO, _flag("--out", required=True, help="output JSON path"),
+        _SCENARIO_OPTIONS,
     )
-    trends_parser.add_argument(
-        "--ledger", default=None, metavar="DIR",
-        help="ledger root (default: $REPRO_LEDGER_DIR or .repro/ledger)",
-    )
-    trends_parser.add_argument(
-        "--source", default=None, metavar="FILE",
-        help="read manifests from a file (ledger JSONL, manifest JSON, "
-        "or BENCH_*.json) instead of the ledger",
-    )
-    trends_parser.add_argument(
-        "--metrics", nargs="+", default=None, metavar="NAME",
-        help="only these metric columns",
-    )
-    trends_parser.add_argument(
-        "--last", type=int, default=0, metavar="N",
-        help="only the last N entries (0 = all)",
-    )
-    trends_parser.add_argument(
-        "--stream", default=None, metavar="ID",
-        help="only entries that replayed this stream id "
-        "('live' = only non-replayed runs)",
-    )
-    json_flag(trends_parser)
-    logging_flags(trends_parser)
-    trends_parser.set_defaults(func=cmd_report_trends)
-
-    compare_parser = report_sub.add_parser(
-        "compare", help="diff the metrics of two manifest sources"
-    )
-    compare_parser.add_argument(
-        "baseline", help="manifest source (ledger JSONL / JSON / BENCH_*.json)"
-    )
-    compare_parser.add_argument("current", help="manifest source to compare")
-    compare_parser.add_argument(
-        "--tolerance", type=float, default=0.10, metavar="FRAC",
-        help="relative tolerance before a delta counts as a regression "
-        "(default 0.10)",
-    )
-    compare_parser.add_argument(
-        "--metrics", nargs="+", default=None, metavar="NAME",
-        help="check (and force-gate) only these metrics",
-    )
-    json_flag(compare_parser)
-    logging_flags(compare_parser)
-    compare_parser.set_defaults(func=cmd_report_compare)
-
-    gate_parser = report_sub.add_parser(
-        "gate",
-        help="exit nonzero when a tracked metric regressed beyond tolerance",
-    )
-    gate_parser.add_argument(
-        "--baseline", required=True, metavar="SRC",
-        help="baseline manifest source; alone, a series with >= 2 entries "
-        "gates latest against previous",
-    )
-    gate_parser.add_argument(
-        "--current", default=None, metavar="SRC",
-        help="manifest source to gate (e.g. a fresh BENCH_*.json); "
-        "default: the baseline series' latest entry vs its previous",
-    )
-    gate_parser.add_argument(
-        "--tolerance", type=float, default=0.10, metavar="FRAC",
-        help="relative tolerance before a delta fails the gate (default 0.10)",
-    )
-    gate_parser.add_argument(
-        "--metrics", nargs="+", default=None, metavar="NAME",
-        help="check (and force-gate) only these metrics",
-    )
-    json_flag(gate_parser)
-    logging_flags(gate_parser)
-    gate_parser.set_defaults(func=cmd_report_gate)
-
-    layout_parser = sub.add_parser("layout", help="render a scenario layout")
-    layout_parser.add_argument("scenario", help="a, a3, b, or c")
-    layout_parser.add_argument("--cols", type=int, default=72, help="map width")
-    common(layout_parser)
-    layout_parser.set_defaults(func=cmd_layout)
-
-    sweep_parser = sub.add_parser("sweep", help="parameter sweep on Scenario A")
-    sweep_parser.add_argument("parameter", choices=("strength", "background"))
-    sweep_parser.add_argument("--values", type=float, nargs="+", required=True)
-    sweep_parser.add_argument("--repeats", type=int, default=3)
-    backend_flag(sweep_parser)
-    fault_flags(sweep_parser)
-    checkpoint_flags(sweep_parser)
-    ledger_flags(sweep_parser, flight=False)
-    workers_flag(sweep_parser)
-    common(sweep_parser)
-    sweep_parser.set_defaults(func=cmd_sweep)
-
-    export_parser = sub.add_parser("export", help="write a scenario to JSON")
-    export_parser.add_argument("scenario", help="a, a3, b, or c")
-    export_parser.add_argument("--out", required=True, help="output JSON path")
-    common(export_parser)
-    export_parser.set_defaults(func=cmd_export)
-
-    run_file_parser = sub.add_parser(
-        "run-file", help="run a scenario from a JSON document"
-    )
-    run_file_parser.add_argument("path", help="scenario JSON path")
-    run_file_parser.add_argument("--repeats", type=int, default=3)
-    run_file_parser.add_argument("--seed", type=int, default=0)
-    instrumentation_flags(run_file_parser)
-    backend_flag(run_file_parser)
-    fault_flags(run_file_parser)
-    checkpoint_flags(run_file_parser)
-    ledger_flags(run_file_parser)
-    workers_flag(run_file_parser)
-    stream_record_flag(run_file_parser)
-    logging_flags(run_file_parser)
-    run_file_parser.set_defaults(func=cmd_run_file)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    configure_logging(
-        verbose=getattr(args, "verbose", 0), quiet=getattr(args, "quiet", False)
-    )
+    configure_logging(verbose=args.verbose, quiet=args.quiet)
     return args.func(args)
 
 

@@ -1,28 +1,13 @@
-"""Process-parallel mean-shift (the paper's Section VI-E concurrency).
+"""The process pool sweeps and serving shards run on (:class:`WorkerPool`).
 
-The paper reports that "the majority of the concurrency is achieved using
-the mean-shift technique" and shows ~5x speedup from 4 to 24 cores
-(Table I).  Our mean-shift is already BLAS-vectorized, so single-process
-throughput is high; this module adds the explicit multi-core dimension by
-sharding the mean-shift *seeds* across worker processes.  Each seed ascends
-independently, so the computation is embarrassingly parallel, exactly as
-the paper exploits.
-
-Note the realistic trade-off this exposes (and the Table I benchmark
-measures): for small populations the fork/pickle overhead exceeds the
-gain, while for 15000-particle populations with many seeds the sharded run
-wins -- the same "parallelism pays off at scale" shape as the paper's 4-
-vs 24-core columns.
+Mean-shift extraction runs in-process; sharding its seeds over worker
+processes did not pay (EXPERIMENTS.md, Table I).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Optional, Tuple
-
-import numpy as np
-
-from repro.core.meanshift import mean_shift_modes
+from typing import Callable, Optional
 
 
 class WorkerPool:
@@ -148,79 +133,3 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "live" if self._executor is not None else "idle"
         return f"WorkerPool(n_workers={self.n_workers}, {state}, builds={self.builds})"
-
-# Worker state initialized once per process to avoid re-pickling the
-# particle arrays for every chunk.
-_WORKER_DATA: dict = {}
-
-
-def _init_worker(points: np.ndarray, weights: np.ndarray) -> None:
-    _WORKER_DATA["points"] = points
-    _WORKER_DATA["weights"] = weights
-
-
-def _run_chunk(args: Tuple[np.ndarray, float, float, int]) -> Tuple[np.ndarray, np.ndarray]:
-    seeds, bandwidth, tol, max_iter = args
-    return mean_shift_modes(
-        seeds,
-        _WORKER_DATA["points"],
-        _WORKER_DATA["weights"],
-        bandwidth=bandwidth,
-        tol=tol,
-        max_iter=max_iter,
-    )
-
-
-def parallel_mean_shift_modes(
-    seeds: np.ndarray,
-    points: np.ndarray,
-    weights: np.ndarray,
-    bandwidth: float,
-    tol: float = 1e-2,
-    max_iter: int = 100,
-    n_workers: int = 2,
-    executor: Optional[ProcessPoolExecutor] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Like :func:`repro.core.meanshift.mean_shift_modes`, sharded over processes.
-
-    Results are identical to the serial version (same seeds, same particle
-    data, deterministic iteration); only wall-clock time differs.  Pass a
-    pre-built ``executor`` to amortize process start-up across calls; note
-    that a reused executor must have been created with the same
-    ``points``/``weights`` via :func:`make_executor`.
-    """
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    if n_workers == 1 or len(seeds) < 2 * n_workers:
-        return mean_shift_modes(
-            seeds, points, weights, bandwidth=bandwidth, tol=tol, max_iter=max_iter
-        )
-
-    chunks = np.array_split(seeds, n_workers)
-    args = [(chunk, bandwidth, tol, max_iter) for chunk in chunks if len(chunk)]
-
-    own_executor = executor is None
-    if own_executor:
-        executor = make_executor(points, weights, n_workers)
-    try:
-        results = list(executor.map(_run_chunk, args))
-    finally:
-        if own_executor:
-            executor.shutdown()
-    modes = np.vstack([r[0] for r in results])
-    densities = np.concatenate([r[1] for r in results])
-    return modes, densities
-
-
-def make_executor(
-    points: np.ndarray,
-    weights: np.ndarray,
-    n_workers: int,
-) -> ProcessPoolExecutor:
-    """A worker pool pre-loaded with the particle arrays."""
-    return ProcessPoolExecutor(
-        max_workers=n_workers,
-        initializer=_init_worker,
-        initargs=(np.asarray(points, dtype=float), np.asarray(weights, dtype=float)),
-    )

@@ -144,6 +144,15 @@ class ServiceConfig:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
             )
+        if self.steps_per_call < 1:
+            raise ValueError(
+                f"steps_per_call must be >= 1, got {self.steps_per_call}"
+            )
+        if not self.step_timeout_seconds > 0:
+            raise ValueError(
+                f"step_timeout_seconds must be > 0, "
+                f"got {self.step_timeout_seconds}"
+            )
         if self.max_step_attempts < 1:
             raise ValueError(
                 f"max_step_attempts must be >= 1, "

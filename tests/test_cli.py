@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -157,7 +159,7 @@ class TestCheckpointResume:
         assert "checkpoint.restores" in out
 
     def test_checkpoint_every_without_dir_fails(self, capsys):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
+        with pytest.raises(SystemExit, match="needs --checkpoint-dir"):
             main(["run", "a", "--steps", "4", "--repeats", "1",
                   "--checkpoint-every", "2"])
 
@@ -247,3 +249,62 @@ class TestRecordReplayCli:
                      "--stream", "live"]) == 1
         err = capsys.readouterr().err
         assert "no entries" in err
+
+
+GOLDEN = str(Path(__file__).resolve().parent / "data" / "golden_stream_a1.stream.jsonl")
+
+
+class TestUsageErrors:
+    """Out-of-range flag values exit 2 with a usage line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "a", "--repeats", "0"],
+            ["run", "a", "--steps", "0"],
+            ["run", "a", "--workers", "-3"],
+            ["run", "a", "--checkpoint-every", "-1"],
+            ["run", "a", "--seed", "-1"],
+            ["run", "a", "--strength", "-5"],
+            ["run", "a", "--background", "-1"],
+            ["run", "a", "--repeats", "two"],
+            ["sweep", "strength", "--values", "4", "--repeats", "0"],
+            ["sweep", "strength", "--values", "-4"],
+            ["replay", GOLDEN, "--pace", "wall", "--speed", "0"],
+            ["replay", GOLDEN, "--checkpoint-every", "-2"],
+            ["resume", "x.ckpt.json", "--checkpoint-every", "-2"],
+            ["serve", GOLDEN, "--shards", "0"],
+            ["serve", GOLDEN, "--checkpoint-every", "-1"],
+            ["serve", GOLDEN, "--steps-per-call", "0"],
+            ["serve", GOLDEN, "--step-timeout", "0"],
+            ["layout", "a", "--cols", "0"],
+            ["layout", "a", "--cols", "3"],
+            ["report", "gate", "--baseline", "b.json", "--tolerance", "-0.1"],
+        ],
+        ids=lambda argv: " ".join("STREAM" if a == GOLDEN else a for a in argv),
+    )
+    def test_bad_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "a", "--steps", "2", "--repeats", "1"],
+            ["run-file", "x.json", "--repeats", "1"],
+            ["sweep", "strength", "--values", "4", "--steps", "2"],
+            ["replay", GOLDEN],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_checkpoint_every_needs_dir_everywhere(self, argv, tmp_path):
+        if argv[0] == "run-file":
+            main(["export", "a", "--out", str(tmp_path / "x.json"), "--steps", "2"])
+            argv = ["run-file", str(tmp_path / "x.json")] + argv[2:]
+        with pytest.raises(SystemExit, match="needs --checkpoint-dir"):
+            main(argv + ["--checkpoint-every", "2"])

@@ -55,6 +55,24 @@ def run(coro):
     return asyncio.run(coro)
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"steps_per_call": 0},
+            {"steps_per_call": -1},
+            {"step_timeout_seconds": 0.0},
+            {"step_timeout_seconds": -5.0},
+            {"step_timeout_seconds": float("nan")},
+        ],
+    )
+    def test_rejects_values_that_cannot_make_progress(self, tmp_path, overrides):
+        # steps_per_call=0 made run_to_completion loop forever advancing
+        # zero steps per shard call.
+        with pytest.raises(ValueError):
+            service_config(tmp_path, **overrides)
+
+
 class TestServiceBasics:
     def test_served_session_matches_direct_run_bitwise(self, tmp_path):
         async def main():
