@@ -1,9 +1,11 @@
 """Fast-path compute layer: speedup and parity on the Table I scenario.
 
-Compares the default configuration (grid selection + estimate cache +
-truncated-kernel mean-shift) against ``config.without_fast_paths()`` --
-the reference implementations every fast path is parity-tested against --
-on the paper's hardest Table I cell: 15000 particles, N = 196 sensors.
+Compares the default backend (grid selection + estimate cache +
+truncated-kernel mean-shift) and the float32 ``fast`` backend against a
+localizer running the reference kernels of :class:`ArrayBackend` (dense
+float64 mean-shift, one reading per chunk) -- the kernels every fast
+path is parity-tested against -- on the paper's hardest Table I cell:
+15000 particles, N = 196 sensors.
 
 Two artifacts come out of the full run:
 
@@ -22,7 +24,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SEED, write_bench_json
-from repro.core.backend import ArrayBackend, get_backend
+from repro.core import meanshift
+from repro.core.backend import REFERENCE_BACKEND, ArrayBackend
 from repro.core.estimator import extract_estimates
 from repro.core.localizer import MultiSourceLocalizer
 from repro.core.meanshift import select_seeds, truncated_mean_shift_modes
@@ -54,11 +57,13 @@ BACKEND_PARITY_TOLERANCE = 0.02
 PARITY_SEED = 7
 
 
-def _run(config, n_particles, n_iterations):
+def _run(config, n_particles, n_iterations, backend=None):
     """Observe+estimate iterations under ``config``.
 
-    Returns (seconds/iteration, final localizer).  Every run rebuilds the
-    scenario from the same seeds, so the fast and reference configurations
+    ``backend`` replaces the localizer's array backend after construction
+    (the reference legs pass an :class:`ArrayBackend`).  Returns
+    (seconds/iteration, final localizer).  Every run rebuilds the
+    scenario from the same seeds, so the fast and reference legs
     consume an identical measurement stream.  The reported figure is the
     per-iteration *median*: preemption on shared/virtualized runners only
     ever inflates individual laps, so the median tracks the true cost
@@ -70,6 +75,8 @@ def _run(config, n_particles, n_iterations):
         scenario.sensors, scenario.field_with_obstacles(), measurement_rng
     )
     localizer = MultiSourceLocalizer(config, rng=filter_rng)
+    if backend is not None:
+        localizer.backend = backend
     for t in range(WARMUP_STEPS):
         for measurement in network.measure_time_step(t):
             localizer.observe(measurement)
@@ -100,8 +107,9 @@ def _extraction_parity(localizer, config, tolerance=PARITY_TOLERANCE):
     )
     reference = extract_estimates(
         particles,
-        config.without_fast_paths(),
+        config,
         np.random.default_rng(PARITY_SEED),
+        backend=REFERENCE_BACKEND,
     )
     assert len(fast) == len(reference), (
         f"fast extraction found {len(fast)} candidates, "
@@ -183,7 +191,6 @@ def _kernel_timings(localizer, config):
             particles.weights,
             bandwidth=config.bandwidth,
             grid=grid,
-            truncation_sigmas=config.meanshift_truncation_sigmas,
             tol=config.meanshift_tol,
             max_iter=config.meanshift_max_iter,
         )
@@ -218,7 +225,7 @@ def test_fastpath_speedup_table1(report, benchmark):
     def measure():
         scenario_config = scenario_b(n_particles=n_particles).localizer_config
         ref_seconds, _ref = _run(
-            scenario_config.without_fast_paths(), n_particles, TIMED_ITERATIONS
+            scenario_config, n_particles, TIMED_ITERATIONS, backend=ArrayBackend()
         )
         fast_seconds, fast_localizer = _run(
             scenario_config, n_particles, TIMED_ITERATIONS
@@ -319,7 +326,7 @@ def test_fastpath_speedup_table1(report, benchmark):
     )
 
 
-def test_fastpath_smoke_parity(report, benchmark):
+def test_fastpath_smoke_parity(report, benchmark, monkeypatch):
     """Reduced-scenario parity check for CI: parity gates, never ms.
 
     2000 particles with the truncation gate lowered so every fast path
@@ -331,13 +338,12 @@ def test_fastpath_smoke_parity(report, benchmark):
     below the full bench's bar so shared runners cannot flake the gate.
     """
     n_particles = 2000
+    monkeypatch.setattr(meanshift, "TRUNCATION_MIN_PARTICLES", 256)
 
     def measure():
-        scenario_config = scenario_b(
-            n_particles=n_particles
-        ).localizer_config.with_overrides(meanshift_truncation_min_particles=256)
+        scenario_config = scenario_b(n_particles=n_particles).localizer_config
         ref_seconds, _ref = _run(
-            scenario_config.without_fast_paths(), n_particles, 4
+            scenario_config, n_particles, 4, backend=ArrayBackend()
         )
         fast_seconds, fast_localizer = _run(scenario_config, n_particles, 4)
         deltas = _extraction_parity(fast_localizer, scenario_config)

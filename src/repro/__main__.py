@@ -536,10 +536,17 @@ def cmd_sweep(args) -> int:
     checkpoint_dir = _checkpoint_dir(args)
     variants = []
     for value in args.values:
-        if args.parameter == "strength":
-            scenario = scenario_a((value, value), n_time_steps=args.steps)
-        else:
-            scenario = scenario_a((args.strength,) * 2, value, n_time_steps=args.steps)
+        strength, background = (
+            (value, args.background)
+            if args.parameter == "strength"
+            else (args.strength, value)
+        )
+        scenario = scenario_a(
+            (strength, strength),
+            background,
+            with_obstacle=args.obstacles,
+            n_time_steps=args.steps,
+        )
         variants.append(
             Variant(f"{args.parameter}={value:g}", _configure(scenario, args))
         )
@@ -603,6 +610,7 @@ def cmd_export(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import contextlib
     import tempfile
 
     from repro.serve import (
@@ -617,22 +625,10 @@ def cmd_serve(args) -> int:
         if not path.exists():
             print(f"{path}: no such stream file", file=sys.stderr)
             return 1
-    checkpoint_dir = args.checkpoint_dir or tempfile.mkdtemp(
-        prefix="repro-serve-"
-    )
     tracer = jsonl_tracer(args.trace) if args.trace else None
     registry = MetricsRegistry()  # the summary always needs service.*
-    config = ServiceConfig(
-        checkpoint_dir=checkpoint_dir,
-        n_shards=args.shards,
-        inline=args.inline,
-        checkpoint_every=args.checkpoint_every,
-        steps_per_call=args.steps_per_call,
-        step_timeout_seconds=args.step_timeout,
-        admission=AdmissionConfig(max_sessions=args.max_sessions),
-    )
 
-    async def drive():
+    async def drive(config):
         service = LocalizationService(
             config, tracer=tracer, metrics=registry, ledger=args.ledger
         )
@@ -681,11 +677,28 @@ def cmd_serve(args) -> int:
             if tracer is not None:
                 tracer.close()
 
-    try:
-        summary = asyncio.run(drive())
-    except Exception as exc:  # surfaced typed: StepFailed et al.
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return 1
+    # Without --checkpoint-dir the session checkpoints live in a temporary
+    # directory that lasts exactly as long as the command.
+    workdir = (
+        contextlib.nullcontext(args.checkpoint_dir)
+        if args.checkpoint_dir
+        else tempfile.TemporaryDirectory(prefix="repro-serve-")
+    )
+    with workdir as checkpoint_dir:
+        config = ServiceConfig(
+            checkpoint_dir=checkpoint_dir,
+            n_shards=args.shards,
+            inline=args.inline,
+            checkpoint_every=args.checkpoint_every,
+            steps_per_call=args.steps_per_call,
+            step_timeout_seconds=args.step_timeout,
+            admission=AdmissionConfig(max_sessions=args.max_sessions),
+        )
+        try:
+            summary = asyncio.run(drive(config))
+        except Exception as exc:  # surfaced typed: StepFailed et al.
+            print(f"serve failed: {exc}", file=sys.stderr)
+            return 1
     print(json.dumps(summary, indent=2))
     if args.ledger is not None:
         print(

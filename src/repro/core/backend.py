@@ -14,8 +14,15 @@ backend: the localizer's observe loop calls the two weight-path kernels
 once per chunk of readings, and ``reweight_in_place`` (the public
 single-reading update) is a batch of one through the same two.
 
-* :class:`NumpyBackend` (``"default"``) is the float64 reference
-  (:class:`ArrayBackend` itself) and **bitwise-reproducible**: the
+:class:`ArrayBackend` itself is the float64 reference of every kernel
+(:data:`REFERENCE_BACKEND`, the oracle the parity tests call), and each
+selectable backend has one production form per kernel.  Mean-shift is
+the one kernel whose production driver depends on the input: at or
+above ``meanshift.TRUNCATION_MIN_PARTICLES`` particles a backend runs
+its truncated driver, below it the dense reference.
+
+* :class:`NumpyBackend` (``"default"``) is the reference kernels plus
+  the grid-based truncated mean-shift, and **bitwise-reproducible**: the
   golden digests pin its results.
 * :class:`FastNumpyBackend` (``"fast"``) computes in float32 over
   structure-of-arrays scratch buffers preallocated per step: every O(n)
@@ -41,6 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaln
 
+from repro.core import meanshift
 from repro.core.config import BACKEND_NAMES
 from repro.physics.units import CPM_PER_MICROCURIE
 
@@ -139,12 +147,12 @@ class ScratchPool:
 class ArrayBackend:
     """Kernel provider interface plus the shared bookkeeping.
 
-    The base class *is* the float64 reference: subclasses override the
-    kernels they accelerate and inherit exact behavior for the rest.
-    ``accelerated`` is the switch the drivers test to pick the observe
-    loop's chunk size (``FUSED_CHUNK`` readings, else one) and the
-    backend mean-shift kernel; everything else calls the kernels
-    unconditionally.
+    The base class *is* the float64 reference for every kernel
+    (:data:`REFERENCE_BACKEND`): subclasses override the kernels they
+    accelerate and inherit exact behavior for the rest.  ``accelerated``
+    is the switch the observe loop tests to pick its chunk size
+    (``FUSED_CHUNK`` readings, else one); everything else calls the
+    kernels unconditionally.
     """
 
     name: str = "default"
@@ -280,15 +288,25 @@ class ArrayBackend:
         config: "LocalizerConfig",
         stats: Optional[dict] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Segmented mean-shift reduction over the particle population.
+        """Mean-shift modes of the particle population from ``seeds``.
 
-        Only accelerated backends provide this; the default routes
-        through the existing truncated/dense drivers in
-        :mod:`repro.core.meanshift`.
+        The reference is the dense float64 sweep
+        (:func:`~repro.core.meanshift.mean_shift_modes`), which every
+        production driver is parity-tested against.  Subclasses run their
+        own driver at or above ``meanshift.TRUNCATION_MIN_PARTICLES`` and
+        this one below it.  ``stats``, when given, receives the driver's
+        work counts and ``path``, the name of the driver that ran.
         """
-        raise NotImplementedError(
-            f"backend {self.name!r} has no mean-shift kernel; "
-            "use the meanshift module drivers"
+        if stats is not None:
+            stats["path"] = "dense"
+        return meanshift.mean_shift_modes(
+            seeds,
+            particles.positions,
+            particles.weights,
+            bandwidth=config.bandwidth,
+            tol=config.meanshift_tol,
+            max_iter=config.meanshift_max_iter,
+            stats=stats,
         )
 
 
@@ -297,7 +315,35 @@ REFERENCE_BACKEND = ArrayBackend()
 
 
 class NumpyBackend(ArrayBackend):
-    """The float64 reference backend (``"default"``): bitwise parity."""
+    """The float64 reference backend (``"default"``): bitwise parity.
+
+    Every kernel is the reference one except mean-shift on large
+    populations, which runs the grid-based truncated driver.
+    """
+
+    def meanshift_modes(
+        self,
+        particles: "ParticleSet",
+        seeds: np.ndarray,
+        config: "LocalizerConfig",
+        stats: Optional[dict] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`~repro.core.meanshift.truncated_mean_shift_modes` at or
+        above ``TRUNCATION_MIN_PARTICLES``, the dense reference below."""
+        if len(particles) < meanshift.TRUNCATION_MIN_PARTICLES:
+            return super().meanshift_modes(particles, seeds, config, stats)
+        if stats is not None:
+            stats["path"] = "truncated"
+        return meanshift.truncated_mean_shift_modes(
+            seeds,
+            particles.positions,
+            particles.weights,
+            bandwidth=config.bandwidth,
+            grid=particles.grid(config.grid_cell()),
+            tol=config.meanshift_tol,
+            max_iter=config.meanshift_max_iter,
+            stats=stats,
+        )
 
 
 class FastNumpyBackend(ArrayBackend):
@@ -547,40 +593,24 @@ class FastNumpyBackend(ArrayBackend):
 
         Same contract as ``truncated_mean_shift_modes``: results agree
         with the dense reference to well within the merge radius
-        (parity-tested), not bitwise.
+        (parity-tested), not bitwise.  Below ``TRUNCATION_MIN_PARTICLES``
+        the dense float64 reference runs instead: it is already cheap
+        there and the padding machinery would dominate.
         """
-        from repro.core.meanshift import (
-            disc_rows,
-            mean_shift_modes,
-            padded_candidate_rows,
-        )
-
+        if len(particles) < meanshift.TRUNCATION_MIN_PARTICLES:
+            return super().meanshift_modes(particles, seeds, config, stats)
         bandwidth = config.bandwidth
-        truncation_sigmas = config.meanshift_truncation_sigmas
         weights = particles.weights
         total_weight = weights.sum()
         if total_weight <= 0:
             raise ValueError("mean-shift needs positive total weight")
-        if (
-            truncation_sigmas <= 0
-            or len(particles) < config.meanshift_truncation_min_particles
-        ):
-            # Small populations: the dense float64 sweep is already cheap
-            # and the padding machinery would dominate.
-            return mean_shift_modes(
-                seeds,
-                particles.positions,
-                weights,
-                bandwidth=bandwidth,
-                tol=config.meanshift_tol,
-                max_iter=config.meanshift_max_iter,
-                stats=stats,
-            )
+        if stats is not None:
+            stats["path"] = f"backend:{self.name}"
 
         grid = particles.grid(config.grid_cell())
         scratch = self.scratch
         n_seeds = len(seeds)
-        radius = truncation_sigmas * bandwidth
+        radius = meanshift.TRUNCATION_SIGMAS * bandwidth
         margin = bandwidth
         gather_radius = radius + margin
         inv_two_h_sq = np.float32(0.5 / (bandwidth * bandwidth))
@@ -589,7 +619,9 @@ class FastNumpyBackend(ArrayBackend):
         w32 = scratch.get("ms.w32", (len(particles),), np.float32)
         np.copyto(w32, weights)
 
-        idx_rows, counts, capacity = padded_candidate_rows(grid, seeds, gather_radius)
+        idx_rows, counts, capacity = meanshift.padded_candidate_rows(
+            grid, seeds, gather_radius
+        )
         shape = (n_seeds, capacity)
         px = scratch.get("ms.px", shape, np.float32)
         py = scratch.get("ms.py", shape, np.float32)
@@ -803,7 +835,7 @@ class FastNumpyBackend(ArrayBackend):
                     grown_margin = np.minimum(row_margin[refill] * 2, cap)
                     row_margin[refill] = grown_margin
                     row_margin_sq[refill] = grown_margin * grown_margin
-                flat, lengths = disc_rows(
+                flat, lengths = meanshift.disc_rows(
                     grid,
                     sx[refill].astype(np.float64),
                     sy[refill].astype(np.float64),

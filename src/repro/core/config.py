@@ -178,30 +178,7 @@ class LocalizerConfig:
     #: credibility reference (an estimates() call per refresh).
     integrity_refresh: int = 25
 
-    # --- compute fast path -------------------------------------------------------
-    # Every knob below selects between a reference implementation and an
-    # accelerated one; the defaults enable the fast paths.  Grid selection
-    # and estimate caching are *exact* (bit-identical results); kernel
-    # truncation is a tight approximation gated on population size.  See
-    # docs/PERFORMANCE.md.
-    #: Route fusion-range selection and the estimator's disc queries
-    #: through the uniform spatial grid index instead of brute-force
-    #: scans.  Exact: the selected index sets are identical.
-    use_grid_index: bool = True
-    #: Cache the mean-shift extraction keyed on the particle revision, so
-    #: repeated ``estimates()`` calls on an unmutated population (the
-    #: interference refresh, per-step diagnostics) reuse the result.
-    estimate_cache: bool = True
-    #: Truncate the mean-shift Gaussian kernel at this many bandwidths:
-    #: each ascent step gathers only grid-local particles instead of the
-    #: full population.  At 4 sigma the discarded kernel mass is < 3.4e-4
-    #: relative, so modes match the dense sweep to well under the merge
-    #: radius.  0 disables truncation (always dense).
-    meanshift_truncation_sigmas: float = 4.0
-    #: Populations smaller than this use the dense mean-shift even when
-    #: truncation is enabled (the gather bookkeeping only pays off once
-    #: the kernel matrix is large).
-    meanshift_truncation_min_particles: int = 4096
+    # --- compute backend ----------------------------------------------------------
     #: Array backend for the hot kernels (see repro.core.backend):
     #: "default" (float64 reference, bitwise parity) or "fast" (float32
     #: SoA scratch-buffer kernels, tolerance parity).  None consults the
@@ -343,16 +320,6 @@ class LocalizerConfig:
             )
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError(f"area must be positive, got {self.area}")
-        if self.meanshift_truncation_sigmas < 0:
-            raise ValueError(
-                f"meanshift_truncation_sigmas must be non-negative, "
-                f"got {self.meanshift_truncation_sigmas}"
-            )
-        if self.meanshift_truncation_min_particles < 0:
-            raise ValueError(
-                f"meanshift_truncation_min_particles must be non-negative, "
-                f"got {self.meanshift_truncation_min_particles}"
-            )
         if self.backend is not None and self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"backend must be None or one of {', '.join(BACKEND_NAMES)}, "
@@ -370,21 +337,3 @@ class LocalizerConfig:
     def with_overrides(self, **kwargs) -> "LocalizerConfig":
         """A copy with the given fields replaced (validated again)."""
         return replace(self, **kwargs)
-
-    def without_fast_paths(self) -> "LocalizerConfig":
-        """A copy running only the reference implementations.
-
-        Disables grid selection, estimate caching and kernel truncation,
-        and pins the array backend to the float64 reference (an explicit
-        "default" here also shields the reference runs from a stray
-        REPRO_BACKEND environment override) -- the configuration every
-        fast path is parity-tested against (and the baseline of
-        ``bench_fastpath``).
-        """
-        return replace(
-            self,
-            use_grid_index=False,
-            estimate_cache=False,
-            meanshift_truncation_sigmas=0.0,
-            backend="default",
-        )

@@ -30,11 +30,7 @@ import numpy as np
 
 from repro.core.clustering import Mode, merge_modes
 from repro.core.config import LocalizerConfig
-from repro.core.meanshift import (
-    mean_shift_modes,
-    select_seeds,
-    truncated_mean_shift_modes,
-)
+from repro.core.meanshift import select_seeds
 from repro.core.particles import ParticleSet
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -139,19 +135,19 @@ def extract_estimates(
     Never needs (or produces) an assumed number of sources: every mode
     that survives the mass and strength filters is one estimated source.
 
-    The mean-shift sweep runs on one of three interchangeable paths,
-    chosen from the array backend and the config's fast-path knobs (see
-    docs/PERFORMANCE.md): an accelerated array ``backend``
-    (:mod:`repro.core.backend`, padded-SoA sweep, tolerance parity), the
-    grid-based truncated kernel (tight approximation, large populations
-    only), or the dense reference sweep.  ``backend=None`` resolves one
-    from ``config.backend``; the localizer passes its own instance so
-    scratch buffers persist across calls.
+    The mean-shift sweep is the array ``backend``'s
+    :meth:`~repro.core.backend.ArrayBackend.meanshift_modes`, which picks
+    its driver from the population size (see docs/PERFORMANCE.md);
+    :data:`~repro.core.backend.REFERENCE_BACKEND` always runs the dense
+    reference sweep.  ``backend=None`` resolves one from
+    ``config.backend``; the localizer passes its own instance so scratch
+    buffers persist across calls.
 
     With an enabled ``tracer``, one ``extract`` event is emitted carrying
-    seed / sweep / gather / kernel-evaluation / mode counts, the backend
-    (``path``), and per-phase wall-clock seconds (``seed``, ``shift``,
-    ``merge``, ``filter``).
+    seed / sweep / gather / kernel-evaluation / mode counts, the
+    mean-shift driver that ran (``path``: ``dense``, ``truncated`` or
+    ``backend:<name>``), and per-phase wall-clock seconds (``seed``,
+    ``shift``, ``merge``, ``filter``).
     """
     tracer = NULL_TRACER if tracer is None else tracer
     traced = tracer.enabled
@@ -175,41 +171,9 @@ def extract_estimates(
         t_now = perf_counter()
         phases["seed"] = t_now - t_prev
         t_prev = t_now
-    n = len(particles)
-    use_truncated = (
-        config.meanshift_truncation_sigmas > 0
-        and n >= config.meanshift_truncation_min_particles
+    converged, _densities = backend.meanshift_modes(
+        particles, seeds, config, stats=shift_stats
     )
-    use_grid = config.use_grid_index
-    if backend.accelerated:
-        path = f"backend:{backend.name}"
-        converged, _densities = backend.meanshift_modes(
-            particles, seeds, config, stats=shift_stats
-        )
-    elif use_truncated:
-        path = "truncated"
-        converged, _densities = truncated_mean_shift_modes(
-            seeds,
-            positions,
-            weights,
-            bandwidth=config.bandwidth,
-            grid=particles.grid(config.grid_cell()),
-            truncation_sigmas=config.meanshift_truncation_sigmas,
-            tol=config.meanshift_tol,
-            max_iter=config.meanshift_max_iter,
-            stats=shift_stats,
-        )
-    else:
-        path = "dense"
-        converged, _densities = mean_shift_modes(
-            seeds,
-            positions,
-            weights,
-            bandwidth=config.bandwidth,
-            tol=config.meanshift_tol,
-            max_iter=config.meanshift_max_iter,
-            stats=shift_stats,
-        )
     if traced:
         t_now = perf_counter()
         phases["shift"] = t_now - t_prev
@@ -227,23 +191,14 @@ def extract_estimates(
     support_radius = config.bandwidth
     uniform_mass = min(1.0, math.pi * support_radius**2 / area)
 
-    # One disc query per mode, shared by the mass and strength filters
-    # (identical index set on every path).  The grid path loops the exact
-    # scalar query; the brute-force fallback still reuses a fresh index
-    # when one exists (bit-identical -- it only skips the O(N) scan, never
-    # changes the result).
-    if use_grid:
-        support_sets = [
-            particles.indices_within_grid(
-                mode.x, mode.y, support_radius, config.grid_cell()
-            )
-            for mode in modes
-        ]
-    else:
-        support_sets = [
-            particles.indices_within_cached(mode.x, mode.y, support_radius)
-            for mode in modes
-        ]
+    # One exact grid disc query per mode, shared by the mass and strength
+    # filters.
+    support_sets = [
+        particles.indices_within_grid(
+            mode.x, mode.y, support_radius, config.grid_cell()
+        )
+        for mode in modes
+    ]
 
     estimates: List[SourceEstimate] = []
     # Hoisted out of disc_mass: one O(N) total-weight sum shared by every
@@ -284,7 +239,7 @@ def extract_estimates(
             candidates=int(shift_stats.get("candidates", 0)),
             n_modes=len(modes),
             n_estimates=len(estimates),
-            path=path,
+            path=shift_stats["path"],
             phases=phases,
             total_seconds=t_end - t_start,
         )

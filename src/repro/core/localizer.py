@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -420,22 +420,13 @@ class MultiSourceLocalizer:
         """Refresh the credibility reference if stale, then score the reading.
 
         The reference is the current estimate set, refreshed every
-        ``config.integrity_refresh`` readings (an ``estimates()`` call per
-        refresh, mirroring the interference cache's cadence).
+        ``config.integrity_refresh`` readings (see
+        :meth:`_refresh_reference`).
         """
         config = self.config
-        self._credibility_age += 1
-        if (
-            self._credibility_age >= config.integrity_refresh
-            or (
-                self._credibility_sources.shape[0] == 0
-                and self._credibility_age == 1
-            )
-        ):
-            self._credibility_sources = np.array(
-                [[e.x, e.y, e.strength] for e in self.estimates()], dtype=float
-            ).reshape(-1, 3)
-            self._credibility_age = 0
+        self._credibility_sources, self._credibility_age = self._refresh_reference(
+            self._credibility_sources, self._credibility_age, config.integrity_refresh
+        )
 
         from repro.physics.units import CPM_PER_MICROCURIE
 
@@ -450,22 +441,39 @@ class MultiSourceLocalizer:
             CPM_PER_MICROCURIE * config.assumed_efficiency,
         )
 
+    def _refresh_reference(
+        self, sources: np.ndarray, age: int, refresh: int
+    ) -> Tuple[np.ndarray, int]:
+        """Age a reference-estimate snapshot by one reading.
+
+        Returns the ``(sources, age)`` pair to store back: a fresh
+        ``(K, 3)`` snapshot of ``estimates()`` (x, y, strength) and age 0
+        once ``refresh`` readings have passed, or on the first reading
+        while the snapshot is empty; otherwise ``sources`` unchanged and
+        ``age + 1``.  Each refresh costs an ``estimates()`` call (and its
+        RNG draws), which is why the snapshot is cached at all.
+        """
+        age += 1
+        if age >= refresh or (sources.shape[0] == 0 and age == 1):
+            sources = np.array(
+                [[e.x, e.y, e.strength] for e in self.estimates()], dtype=float
+            ).reshape(-1, 3)
+            age = 0
+        return sources, age
+
     def _indices_within(
         self, x: float, y: float, radius: float
     ) -> np.ndarray:
-        """Disc selection via the grid index (when enabled) or brute force.
+        """Disc selection (Eq. 5) via the grid index.
 
-        Both paths return the same sorted index array; the grid one scans
-        only the cells overlapping the disc (Eq. 5's cost bound).
+        Returns the same sorted index array as the brute-force
+        :meth:`ParticleSet.indices_within` oracle, scanning only the cells
+        overlapping the disc.
         """
         particles = self.particles
         if np.isinf(radius):
             return np.arange(len(particles))
-        if self.config.use_grid_index:
-            return particles.indices_within_grid(
-                x, y, radius, self.config.grid_cell()
-            )
-        return particles.indices_within(x, y, radius)
+        return particles.indices_within_grid(x, y, radius, self.config.grid_cell())
 
     def _flush_grid_metrics(self) -> None:
         """Report grid activity since the last flush (metrics-gated)."""
@@ -533,20 +541,15 @@ class MultiSourceLocalizer:
         disc are never subtracted -- the particles themselves compete to
         explain them (with under-prediction tempering absorbing the
         superposition).  The estimate set is refreshed every
-        ``config.interference_refresh`` iterations.
+        ``config.interference_refresh`` iterations (see
+        :meth:`_refresh_reference`).
         """
         config = self.config
         if not config.interference_subtraction or np.isinf(fusion_range):
             return 0.0
-        self._interference_age += 1
-        if (
-            self._interference_age >= config.interference_refresh
-            or (self._interference_sources.shape[0] == 0 and self._interference_age == 1)
-        ):
-            self._interference_sources = np.array(
-                [[e.x, e.y, e.strength] for e in self.estimates()], dtype=float
-            ).reshape(-1, 3)
-            self._interference_age = 0
+        self._interference_sources, self._interference_age = self._refresh_reference(
+            self._interference_sources, self._interference_age, config.interference_refresh
+        )
         sources = self._interference_sources
         if sources.shape[0] == 0:
             return 0.0
@@ -576,17 +579,16 @@ class MultiSourceLocalizer:
         explain-away echo filter; the length of the list is the
         algorithm's belief about the number of sources K.
 
-        With ``config.estimate_cache`` (default), the mean-shift
-        extraction is cached keyed on the particle revision: repeated
-        calls on an unmutated population -- the interference refresh,
-        per-step diagnostics, ``estimated_source_count()`` -- reuse the
-        candidate set instead of re-running mean-shift.  The echo filter
-        is recomputed every call (it also depends on the reading EMA).
+        The mean-shift extraction is cached keyed on the particle
+        revision: repeated calls on an unmutated population -- the
+        interference refresh, per-step diagnostics,
+        ``estimated_source_count()`` -- reuse the candidate set instead of
+        re-running mean-shift.  The echo filter is recomputed every call
+        (it also depends on the reading EMA).
         """
-        config = self.config
         cached = self._estimate_cache
         revision = self.particles.revision
-        if config.estimate_cache and cached is not None and cached[0] == revision:
+        if cached is not None and cached[0] == revision:
             if self.metrics.enabled:
                 self.metrics.counter("localizer.estimate_cache_hits").inc()
             return self._filter_echoes(cached[1])
@@ -599,8 +601,7 @@ class MultiSourceLocalizer:
             self.particles, self.config, self.rng, tracer=tracer,
             backend=self.backend,
         )
-        if config.estimate_cache:
-            self._estimate_cache = (revision, candidates)
+        self._estimate_cache = (revision, candidates)
         if self.metrics.enabled:
             self.metrics.counter("localizer.estimate_cache_misses").inc()
             self._flush_grid_metrics()

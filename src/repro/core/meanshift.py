@@ -26,6 +26,16 @@ if TYPE_CHECKING:
 #: in tiles of at most this many gathered candidate points.
 TILE_CANDIDATES = 200_000
 
+#: Kernel cut-off of the truncated drivers, in bandwidths.  At 4 sigma
+#: the discarded kernel mass is < 3.4e-4 relative, so modes match the
+#: dense sweep to well under the merge radius.
+TRUNCATION_SIGMAS = 4.0
+
+#: Populations below this run the dense reference sweep: the truncated
+#: drivers' gather bookkeeping only pays off once the (seeds x particles)
+#: kernel matrix is large.
+TRUNCATION_MIN_PARTICLES = 4096
+
 
 def gaussian_kernel_weights(
     points: np.ndarray,
@@ -157,7 +167,7 @@ def truncated_mean_shift_modes(
     weights: np.ndarray,
     bandwidth: float,
     grid: "SpatialGridIndex",
-    truncation_sigmas: float = 4.0,
+    truncation_sigmas: float = TRUNCATION_SIGMAS,
     tol: float = 1e-2,
     max_iter: int = 100,
     tile_candidates: int = TILE_CANDIDATES,

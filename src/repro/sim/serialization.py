@@ -261,6 +261,10 @@ RETIRED_CONFIG_KEYS: Dict[str, Any] = {
     "meanshift_tile_candidates": 200_000,
     "grid_incremental_threshold": 0.25,
     "grid_cell_size": None,
+    "use_grid_index": True,
+    "estimate_cache": True,
+    "meanshift_truncation_sigmas": 4.0,
+    "meanshift_truncation_min_particles": 4096,
 }
 
 

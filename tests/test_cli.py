@@ -308,3 +308,33 @@ class TestUsageErrors:
             argv = ["run-file", str(tmp_path / "x.json")] + argv[2:]
         with pytest.raises(SystemExit, match="needs --checkpoint-dir"):
             main(argv + ["--checkpoint-every", "2"])
+
+
+class TestServeCli:
+    """Without --checkpoint-dir, serve's checkpoints live only while it runs."""
+
+    @pytest.fixture
+    def scratch_tmp(self, tmp_path, monkeypatch):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        return scratch
+
+    def test_serve_removes_its_temporary_directory(self, scratch_tmp, capsys):
+        assert main(["serve", "--inline", GOLDEN]) == 0
+        assert '"completed": 1' in capsys.readouterr().out
+        assert list(scratch_tmp.iterdir()) == []
+
+    def test_rejected_service_config_removes_it_too(self, scratch_tmp, monkeypatch):
+        import repro.serve
+
+        def reject(**kwargs):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(repro.serve, "ServiceConfig", reject)
+        with pytest.raises(ValueError, match="rejected"):
+            main(["serve", "--inline", GOLDEN])
+        assert list(scratch_tmp.iterdir()) == []

@@ -24,7 +24,7 @@ import repro.__main__ as cli
 from repro.__main__ import build_parser, main
 from repro.faults import load_fault_schedule
 from repro.sim.scenarios import scenario_a
-from repro.sim.serialization import load_scenario, save_scenario
+from repro.sim.serialization import load_scenario, save_scenario, scenario_to_dict
 from repro.sim.session import SessionSpec, with_config
 from repro.streams import read_header, scenario_from_header
 
@@ -434,3 +434,31 @@ class TestSessionSpecs:
                 checkpoint_dir=files["dir"] if option == "checkpoint" else None,
             )
         assert cli_spec.to_dict() == seen["spec"].to_dict()
+
+    @pytest.mark.parametrize("parameter", ["strength", "background"])
+    def test_sweep_variants_keep_scenario_flags(self, monkeypatch, files, parameter):
+        """--strength, --background and --obstacles reach every variant."""
+        import repro.exp
+
+        seen = {}
+
+        def fake_run_sweep(spec, **kwargs):
+            seen["spec"] = spec
+            raise _Captured
+
+        monkeypatch.setattr(repro.exp, "run_sweep", fake_run_sweep)
+        _run_captured(
+            seen,
+            ["sweep", parameter, "--values", "4", "10", "--strength", "50",
+             "--background", "40", "--obstacles", "--steps", "3", "--repeats", "1"],
+        )
+        for value, variant in zip((4.0, 10.0), seen["spec"].variants):
+            strength, background = (
+                (value, 40.0) if parameter == "strength" else (50.0, value)
+            )
+            expected = scenario_a(
+                (strength, strength), background, with_obstacle=True, n_time_steps=3
+            )
+            assert scenario_to_dict(variant.scenario) == scenario_to_dict(
+                _configured(expected, "plain", files)
+            )

@@ -22,7 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import meanshift
 from repro.core.backend import (
+    REFERENCE_BACKEND,
     ArrayBackend,
     FastNumpyBackend,
     NumpyBackend,
@@ -110,12 +112,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             base_config(backend="turbo")
         assert base_config(backend="fast").backend == "fast"
-
-    def test_without_fast_paths_pins_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fast")
-        config = base_config().without_fast_paths()
-        assert config.backend == "default"
-        assert get_backend(config.backend).name == "default"
 
     def test_get_backend_instances(self):
         default = get_backend("default")
@@ -379,7 +375,7 @@ class TestFastParity:
         fast.observe_batch(list(steps[0]) + [bad] * 3)
         assert fast.iteration > before  # honest readings fused
 
-    def test_fused_session_accuracy_tracks_default(self):
+    def test_fused_session_accuracy_tracks_default(self, monkeypatch):
         """Paired multi-seed accuracy: fast tracks the float64 reference.
 
         Each seed runs scenario A twice on identical measurements: the
@@ -414,13 +410,11 @@ class TestFastParity:
         reference = np.array(
             [steady_state_worst(s, backend="default") for s in ACCURACY_SEEDS]
         )
+        # Lowered only after the reference runs, so the default side keeps
+        # its dense sweep.
+        monkeypatch.setattr(meanshift, "TRUNCATION_MIN_PARTICLES", 256)
         fast = np.array(
-            [
-                steady_state_worst(
-                    s, backend="fast", meanshift_truncation_min_particles=256
-                )
-                for s in ACCURACY_SEEDS
-            ]
+            [steady_state_worst(s, backend="fast") for s in ACCURACY_SEEDS]
         )
         scores = {"default": reference.round(2), "fast": fast.round(2)}
         assert np.sum(fast > MISS_ERROR) <= np.sum(reference > MISS_ERROR), scores
@@ -429,10 +423,9 @@ class TestFastParity:
         paired = np.minimum(fast, MISS_ERROR) - np.minimum(reference, MISS_ERROR)
         assert np.median(paired) <= PAIRED_MEDIAN_MARGIN, scores
 
-    def test_meanshift_extraction_parity(self):
-        config = base_config(
-            n_particles=3000, meanshift_truncation_min_particles=256
-        )
+    def test_meanshift_extraction_parity(self, monkeypatch):
+        monkeypatch.setattr(meanshift, "TRUNCATION_MIN_PARTICLES", 256)
+        config = base_config(n_particles=3000)
         steps = measurement_stream(n_steps=3)
         localizer = MultiSourceLocalizer(
             config.with_overrides(backend="fast"),
@@ -447,7 +440,7 @@ class TestFastParity:
             np.random.default_rng(7),
         )
         reference = extract_estimates(
-            particles, config.without_fast_paths(), np.random.default_rng(7)
+            particles, config, np.random.default_rng(7), backend=REFERENCE_BACKEND
         )
         assert len(fast) == len(reference)
         for ref in reference:
@@ -456,13 +449,14 @@ class TestFastParity:
             )
             assert delta < 0.5
 
-    def test_meanshift_equal_shifts_do_not_warn(self):
+    def test_meanshift_equal_shifts_do_not_warn(self, monkeypatch):
         # A 1-D cluster at x = 2**17, where float32 spacing (1/64) exceeds
         # the convergence tolerance: shifts are quantized, so a row sees
         # two equal consecutive shifts (contraction ratio exactly 1) on its
         # way in.  Such a row is never boosted, and the kernel must not
         # evaluate r / (1 - r) for it.
-        config = LocalizerConfig(area=(100.0, 100.0), meanshift_truncation_min_particles=0)
+        monkeypatch.setattr(meanshift, "TRUNCATION_MIN_PARTICLES", 0)
+        config = LocalizerConfig(area=(100.0, 100.0))
         center, spread = 2.0**17, 3.0 * config.bandwidth
         xs = center + np.linspace(-3 * spread, 3 * spread, 400)
         weights = np.exp(-0.5 * ((xs - center) / spread) ** 2)

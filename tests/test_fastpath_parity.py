@@ -1,15 +1,13 @@
-"""End-to-end parity tests for the fast-path compute layer.
+"""End-to-end parity tests for the always-on exact fast paths.
 
-Every fast path (grid selection, estimate caching, kernel truncation,
-worker pool) must be indistinguishable from the reference implementation
-it replaces -- bit-identical where the path is exact, within a tight
-tolerance where it is approximate.  The drivers here run the same
-measurement stream through a fast-path localizer and a
-``config.without_fast_paths()`` reference localizer with identical rngs.
+Grid selection and estimate caching must be bit-identical to the
+reference implementations they replace.  The grid drivers here run the
+same measurement stream through a production localizer and a reference
+localizer whose particle set answers every disc query with the
+brute-force :meth:`ParticleSet.indices_within` scan, with identical rngs.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import LocalizerConfig
@@ -47,15 +45,24 @@ def measurement_stream(sources, n_steps=6, seed=1):
     return stream
 
 
-def run_pair(config_fast, stream, seed=0, **localizer_kwargs):
-    """The same stream through fast and reference localizers, same rng seed."""
-    fast = MultiSourceLocalizer(
-        config_fast, rng=np.random.default_rng(seed), **localizer_kwargs
+def brute_force_selection(localizer):
+    """Route every grid disc query of ``localizer`` to the brute-force scan."""
+    particles = localizer.particles
+    particles.indices_within_grid = (
+        lambda x, y, radius, cell_size: particles.indices_within(x, y, radius)
     )
-    ref = MultiSourceLocalizer(
-        config_fast.without_fast_paths(),
-        rng=np.random.default_rng(seed),
-        **localizer_kwargs,
+    return localizer
+
+
+def run_pair(config, stream, seed=0, **localizer_kwargs):
+    """The same stream through grid and brute-force localizers, same rng seed."""
+    fast = MultiSourceLocalizer(
+        config, rng=np.random.default_rng(seed), **localizer_kwargs
+    )
+    ref = brute_force_selection(
+        MultiSourceLocalizer(
+            config, rng=np.random.default_rng(seed), **localizer_kwargs
+        )
     )
     for m in stream:
         fast.observe(m)
@@ -74,17 +81,14 @@ class TestGridSelectionParity:
 
     def test_bit_identical_population(self):
         stream = measurement_stream(SOURCES)
-        # Truncation, caching and the array backend off so only the grid
-        # differs between runs (the reference pins backend="default", so
-        # the fast side must too or a REPRO_BACKEND override would leak
-        # tolerance-level drift into this bitwise comparison); the grid
-        # path must then be invisible to the filter.
-        config = base_config(
-            estimate_cache=False,
-            meanshift_truncation_sigmas=0.0,
-            backend="default",
-        )
+        # Only the selection differs between the runs (backend="default"
+        # so a REPRO_BACKEND override cannot leak tolerance-level drift
+        # into this bitwise comparison); the grid must then be invisible
+        # to the filter.
+        config = base_config(backend="default")
         fast, ref = run_pair(config, stream)
+        assert fast.particles.grid_queries > 0
+        assert ref.particles.grid_queries == 0
         np.testing.assert_array_equal(fast.particles.xs, ref.particles.xs)
         np.testing.assert_array_equal(fast.particles.ys, ref.particles.ys)
         np.testing.assert_array_equal(fast.particles.weights, ref.particles.weights)
@@ -94,11 +98,7 @@ class TestGridSelectionParity:
 
     def test_bit_identical_estimates(self):
         stream = measurement_stream(SOURCES)
-        config = base_config(
-            estimate_cache=False,
-            meanshift_truncation_sigmas=0.0,
-            backend="default",
-        )
+        config = base_config(backend="default")
         fast, ref = run_pair(config, stream)
         fast_est = fast.estimates()
         ref_est = ref.estimates()
@@ -120,8 +120,6 @@ class TestGridSelectionParity:
         stream = measurement_stream(sources, n_steps=3, seed=seed)
         config = base_config(
             n_particles=800,
-            estimate_cache=False,
-            meanshift_truncation_sigmas=0.0,
             backend="default",
             fusion_range=float(rng.uniform(15, 45)),
         )
@@ -173,26 +171,15 @@ class TestEstimateCache:
 
     def test_cached_estimates_match_uncached(self):
         stream = measurement_stream(SOURCES)
-        cached = MultiSourceLocalizer(
-            base_config(meanshift_truncation_sigmas=0.0),
-            rng=np.random.default_rng(0),
-        )
-        uncached = MultiSourceLocalizer(
-            base_config(estimate_cache=False, meanshift_truncation_sigmas=0.0),
-            rng=np.random.default_rng(0),
-        )
+        localizer = MultiSourceLocalizer(base_config(), rng=np.random.default_rng(0))
         for m in stream:
-            cached.observe(m)
-            uncached.observe(m)
-        a = cached.estimates()
-        b = uncached.estimates()
-        assert [(e.x, e.y, e.strength) for e in a] == [
-            (e.x, e.y, e.strength) for e in b
-        ]
+            localizer.observe(m)
+        miss = localizer.estimates()
         # A second call serves the cached candidates through the echo filter
-        # and must be identical to the first.
-        assert [(e.x, e.y) for e in cached.estimates()] == [
-            (e.x, e.y) for e in a
+        # and must be identical to the extraction that filled the cache.
+        hit = localizer.estimates()
+        assert [(e.x, e.y, e.strength) for e in hit] == [
+            (e.x, e.y, e.strength) for e in miss
         ]
 
 
@@ -211,18 +198,6 @@ class TestGridMetrics:
         assert hist["count"] >= 1
         # The grid's whole point: queries scan well under the full population.
         assert hist["max"] <= 1.0
-
-    def test_no_grid_metrics_when_disabled(self):
-        stream = measurement_stream(SOURCES, n_steps=2)
-        metrics = MetricsRegistry()
-        localizer = MultiSourceLocalizer(
-            base_config(use_grid_index=False),
-            rng=np.random.default_rng(0),
-            metrics=metrics,
-        )
-        for m in stream:
-            localizer.observe(m)
-        assert metrics.counter("localizer.grid_queries").value == 0
 
 
 class TestFullFastPathAccuracy:

@@ -8,6 +8,7 @@ import pytest
 
 import repro.core.estimator as estimator_module
 import repro.core.localizer as localizer_module
+from repro.core import meanshift
 from repro.core.config import LocalizerConfig
 from repro.core.localizer import MultiSourceLocalizer
 from repro.obs.sinks import InMemorySink, JsonlSink, NullSink, read_jsonl
@@ -135,32 +136,30 @@ class TestLocalizerInstrumentation:
         )
 
     @pytest.mark.parametrize("min_particles", [4096, 0])
-    def test_extract_event_work_counts(self, min_particles):
-        sink = InMemorySink()
-        config = LocalizerConfig(
-            area=(100.0, 100.0),
-            n_particles=400,
-            assumed_background_cpm=5.0,
-            meanshift_truncation_min_particles=min_particles,
-        )
-        localizer = MultiSourceLocalizer(
-            config, rng=np.random.default_rng(5), tracer=Tracer(sink)
-        )
-        for _ in range(3):
-            localizer.observe_reading(50.0, 50.0, 60.0)
-        sink.clear()
-        localizer.estimates()
-        [event] = sink.of_type("extract")
-        n_seeds, sweeps = event["n_seeds"], event["meanshift_sweeps"]
-        # No sweep evaluates a seed's kernel at more than all 400 particles.
-        assert 0 < event["candidates"] <= sweeps * n_seeds * 400
-        if min_particles:
-            # Dense sweep: no gathers, the first sweep covers every pair.
-            assert event["gathers"] == 0
-            assert event["candidates"] >= n_seeds * 400
-        else:
-            # Truncated sweep: every seed gathers in the first sweep.
-            assert event["gathers"] >= n_seeds
+    def test_extract_event_work_counts(self, monkeypatch, min_particles):
+        # 400 particles sit below the default truncation gate (4096) and
+        # above a gate of 0: each backend's two mean-shift drivers.
+        monkeypatch.setattr(meanshift, "TRUNCATION_MIN_PARTICLES", min_particles)
+        paths = {"default": "truncated", "fast": "backend:fast"}
+        for backend in ("default", "fast"):
+            sink = InMemorySink()
+            localizer = make_localizer(tracer=Tracer(sink), backend=backend)
+            for _ in range(3):
+                localizer.observe_reading(50.0, 50.0, 60.0)
+            sink.clear()
+            localizer.estimates()
+            [event] = sink.of_type("extract")
+            assert event["path"] == ("dense" if min_particles else paths[backend])
+            n_seeds, sweeps = event["n_seeds"], event["meanshift_sweeps"]
+            # No sweep evaluates a seed's kernel at more than all 400 particles.
+            assert 0 < event["candidates"] <= sweeps * n_seeds * 400
+            if min_particles:
+                # Dense sweep: no gathers, the first sweep covers every pair.
+                assert event["gathers"] == 0
+                assert event["candidates"] >= n_seeds * 400
+            else:
+                # Truncated sweep: every seed gathers in the first sweep.
+                assert event["gathers"] >= n_seeds
 
     def test_interference_refresh_does_not_emit_nested_extract(self):
         sink = InMemorySink()

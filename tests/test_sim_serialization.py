@@ -115,7 +115,7 @@ class TestFiles:
 class TestLocalizerConfigKeys:
     """Typed errors for ``localizer_config`` keys, and the retired ones.
 
-    Four fields were retired from ``LocalizerConfig`` with their one
+    Eight fields were retired from ``LocalizerConfig`` with their one
     supported value hard-wired; older documents (the committed golden
     stream headers among them, replayed by ``test_golden_streams.py``)
     carry exactly that value and must load.
@@ -126,6 +126,10 @@ class TestLocalizerConfigKeys:
         "meanshift_tile_candidates": 200_000,
         "grid_incremental_threshold": 0.25,
         "grid_cell_size": None,
+        "use_grid_index": True,
+        "estimate_cache": True,
+        "meanshift_truncation_sigmas": 4.0,
+        "meanshift_truncation_min_particles": 4096,
     }
 
     def doc_with(self, **config):
@@ -146,6 +150,14 @@ class TestLocalizerConfigKeys:
             ("meanshift_tile_candidates", 1000, "'meanshift_tile_candidates'"),
             ("grid_incremental_threshold", 0.5, "'grid_incremental_threshold'"),
             ("grid_cell_size", 12.0, "'grid_cell_size' is retired"),
+            ("use_grid_index", False, "'use_grid_index' is retired"),
+            ("estimate_cache", False, "'estimate_cache' is retired"),
+            ("meanshift_truncation_sigmas", 0.0, "'meanshift_truncation_sigmas'"),
+            (
+                "meanshift_truncation_min_particles",
+                256,
+                "'meanshift_truncation_min_particles' is retired",
+            ),
             ("backend", "numba", "default, fast"),
         ],
         ids=[
@@ -155,6 +167,10 @@ class TestLocalizerConfigKeys:
             "tile-candidates",
             "incremental-threshold",
             "grid-cell-size",
+            "use-grid-index-false",
+            "estimate-cache-false",
+            "truncation-sigmas-0",
+            "truncation-min-particles-256",
             "backend-numba",
         ],
     )
