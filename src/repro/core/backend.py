@@ -46,10 +46,10 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.core import meanshift
 from repro.core.config import BACKEND_NAMES
+from repro.core.special import log_gamma
 from repro.physics.units import CPM_PER_MICROCURIE
 
 if TYPE_CHECKING:
@@ -445,13 +445,14 @@ class FastNumpyBackend(ArrayBackend):
 
         # Per-reading parameters, cast to float32 one value at a time and
         # expanded to every disc row.  log Gamma(count + 1) is taken in
-        # float64 (large counts lose all fractional precision in float32).
-        log_gamma = gammaln(counts + 1.0)
+        # float64 (large counts lose all fractional precision in float32),
+        # one scalar call per reading of the chunk.
+        lgamma = np.array([log_gamma(c) for c in (counts + 1.0).tolist()])
         columns = {
             "counts": counts,
             "sx": sensor_x,
             "sy": sensor_y,
-            "lgamma": log_gamma,
+            "lgamma": lgamma,
             "fill": np.where(counts == 0.0, 0.0, -np.inf),
         }
         if interference_cpm is not None:
@@ -462,7 +463,7 @@ class FastNumpyBackend(ArrayBackend):
                     counts > 0.0,
                     counts * np.log(np.maximum(counts, 1.0))
                     - counts
-                    - log_gamma,
+                    - lgamma,
                     0.0,
                 )
             columns["atcount"] = (1.0 - under_prediction_tempering) * at_count

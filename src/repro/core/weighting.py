@@ -15,10 +15,10 @@ float, but only the *relative* weights within the touched subset matter.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.core.backend import REFERENCE_BACKEND
 from repro.core.particles import ParticleSet
+from repro.core.special import log_gamma
 from repro.physics.intensity import expected_cpm_free_space
 
 #: Weights below max_subset_weight * RELATIVE_FLOOR are clamped to that
@@ -39,7 +39,7 @@ def poisson_log_pmf(count: float, rates: np.ndarray) -> np.ndarray:
     out = np.full(rates.shape, -np.inf)
     positive = rates > 0
     out[positive] = (
-        count * np.log(rates[positive]) - rates[positive] - gammaln(count + 1.0)
+        count * np.log(rates[positive]) - rates[positive] - log_gamma(count + 1.0)
     )
     if count == 0:
         out[~positive] = 0.0

@@ -501,16 +501,16 @@ def save_checkpoint(state: Dict[str, Any], path: str | Path) -> int:
 def load_checkpoint(path: str | Path) -> Dict[str, Any]:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
-    Raises :class:`CheckpointError` on every failure mode -- missing or
-    unparsable JSON, wrong magic, unsupported version, missing sidecar,
-    or a sidecar whose SHA-256 does not match the document.
+    Raises :class:`CheckpointError` on every failure mode -- missing,
+    non-UTF-8 or unparsable JSON, wrong magic, unsupported version, missing
+    sidecar, or a sidecar whose SHA-256 does not match the document.
     """
     path = Path(path)
     try:
-        document = json.loads(path.read_text())
+        document = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(
             f"checkpoint {path} is not valid JSON: {exc}"
         ) from exc

@@ -133,7 +133,7 @@ class StreamHeader:
                 config_hash=str(doc["config_hash"]),
                 context=dict(doc.get("context", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StreamFormatError(
                 f"stream header is missing/malformed field: {exc}"
             ) from exc
@@ -168,7 +168,7 @@ class StreamBatch:
                     measurement_from_dict(m) for m in doc["measurements"]
                 ],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StreamFormatError(
                 f"stream batch line is missing/malformed field: {exc}"
             ) from exc
@@ -247,7 +247,11 @@ def load_stream(
     except OSError as exc:
         raise StreamFormatError(f"cannot read stream {path}: {exc}") from exc
     sha256 = hashlib.sha256(raw).hexdigest()
-    lines = [line for line in raw.decode("utf-8").splitlines() if line.strip()]
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"stream {path} is not UTF-8 text: {exc}") from exc
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise StreamFormatError(f"stream {path} is empty")
     header = parse_header_line(lines[0])

@@ -44,6 +44,8 @@ def read_header(path) -> StreamHeader:
             line = handle.readline()
     except OSError as exc:
         raise StreamFormatError(f"cannot read stream {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StreamFormatError(f"stream {path} is not UTF-8 text: {exc}") from exc
     if not line.strip():
         raise StreamFormatError(f"stream {path} is empty")
     return parse_header_line(line)

@@ -1,11 +1,12 @@
 """What ``import repro`` and a session load: only what a step runs.
 
 A fresh process pays for every module on the session path before its
-first reading (``setup_s``).  Modules no step executes -- the Hungarian
-assignment in ``scipy.optimize``, the sweep engine ``repro.exp`` -- are
-imported where they are used, and ``networkx`` is not used at all.  These
-checks run in subprocesses, so they see a cold ``sys.modules`` and do not
-drift with machine speed.
+first reading (``setup_s``).  No step needs scipy: the weight update's
+log Gamma is :func:`repro.core.special.log_gamma`, and the Hungarian
+assignment in ``scipy.optimize`` and the sweep engine ``repro.exp`` are
+imported where they are used (end-of-run scoring, sweeps).  ``networkx``
+is not used at all.  These checks run in subprocesses, so they see a
+cold ``sys.modules`` and do not drift with machine speed.
 """
 
 import os
@@ -28,24 +29,38 @@ def run_python(script: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_session_runs_without_optimize_networkx_or_sweep_engine():
-    # A None entry in sys.modules makes any import of that name raise
-    # ImportError, so a hidden dependency fails loudly here.  The CLI
-    # and the serving tier are imported too: both start fresh processes.
+def test_sessions_run_without_scipy_networkx_or_sweep_engine():
+    # A None entry in sys.modules makes any import of that name (and of
+    # every submodule under it) raise ImportError, so a hidden dependency
+    # fails loudly here.  The CLI and the serving tier are imported too:
+    # both start fresh processes.  Both backends run a session, since the
+    # fast backend has its own likelihood kernel.
     script = """
 import sys
-sys.modules["scipy.optimize"] = None
+sys.modules["scipy"] = None
 sys.modules["networkx"] = None
 
 import repro
 import repro.__main__
 import repro.serve.service
 from repro.sim.scenarios import scenario_a
-from repro.sim.session import LocalizerSession
+from repro.sim.session import SessionSpec
 
-session = LocalizerSession(scenario_a(n_particles=500, n_time_steps=3), seed=4)
-result = session.run()
-assert len(result.steps) == 3, len(result.steps)
+for backend in ("default", "fast"):
+    session = SessionSpec(
+        scenario=scenario_a(n_particles=500, n_time_steps=3),
+        seed=4,
+        backend=backend,
+    ).open()
+    result = session.run()
+    assert len(result.steps) == 3, len(result.steps)
+    assert session.localizer.backend.name == backend, session.localizer.backend
+loaded = [
+    name
+    for name, module in sys.modules.items()
+    if name.partition(".")[0] in ("scipy", "networkx") and module is not None
+]
+assert not loaded, loaded
 assert "repro.exp" not in sys.modules
 print("ok")
 """

@@ -442,6 +442,12 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="not valid JSON"):
             self.load(checkpoint)
 
+    def test_non_utf8_body(self, checkpoint):
+        body = checkpoint.read_bytes()
+        checkpoint.write_bytes(body[:10] + b"\xff" + body[10:])
+        with pytest.raises(CheckpointError, match="not valid JSON"):
+            self.load(checkpoint)
+
     def test_wrong_magic(self, checkpoint):
         checkpoint.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(CheckpointError, match="document"):

@@ -30,6 +30,7 @@ from repro.streams import (
     load_stream,
     parse_batch_line,
     parse_header_line,
+    read_header,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -140,6 +141,10 @@ class TestHeaderAndBatchCodec:
             parse_header_line(json.dumps({"format": "nope", "version": 1}))
         with pytest.raises(StreamFormatError):
             parse_header_line("not json at all")
+        line = canonical_dumps(self._header().to_dict())
+        assert '"seed":7' in line
+        with pytest.raises(StreamFormatError, match="malformed field"):
+            parse_header_line(line.replace('"seed":7', '"seed":1e400'))
 
 
 class TestRecorderAndLoad:
@@ -194,4 +199,28 @@ class TestRecorderAndLoad:
         path = tmp_path / "headless.jsonl"
         path.write_text('{"t":0,"ts":0.0,"measurements":[]}\n')
         with pytest.raises(StreamFormatError):
+            load_stream(path)
+
+    def test_load_rejects_non_utf8_batch_line(self, tmp_path):
+        path, _ = self._record(tmp_path)
+        raw = path.read_bytes().splitlines(keepends=True)
+        raw[1] = raw[1].replace(b'"measurements"', b'"measurements\xff"')
+        path.write_bytes(b"".join(raw))
+        with pytest.raises(StreamFormatError, match="not UTF-8"):
+            load_stream(path)
+
+    def test_read_header_rejects_non_utf8_header(self, tmp_path):
+        path, _ = self._record(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(StreamFormatError, match="not UTF-8"):
+            read_header(path)
+
+    def test_load_rejects_overflowing_integer_field(self, tmp_path):
+        # JSON's 1e400 parses as inf, and int(inf) raises OverflowError.
+        path, _ = self._record(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"sensor_id":0', '"sensor_id":1e400')
+        assert "1e400" in lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(StreamFormatError, match="malformed field"):
             load_stream(path)
